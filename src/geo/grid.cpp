@@ -28,23 +28,29 @@ BoundingBox Grid::cell_bounds(CellIndex c) const {
   return {lo, {lo.x + cell_size_, lo.y + cell_size_}};
 }
 
+CellSet::CellSet(std::vector<std::uint64_t> keys) : keys_(std::move(keys)) {
+  std::sort(keys_.begin(), keys_.end());
+  keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+  keys_.shrink_to_fit();  // sets outlive their build as cached artifacts
+}
+
+void CellSet::insert(CellIndex c) {
+  const std::uint64_t key = cell_key(c);
+  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+  if (it == keys_.end() || *it != key) keys_.insert(it, key);
+}
+
+bool CellSet::contains(CellIndex c) const {
+  return std::binary_search(keys_.begin(), keys_.end(), cell_key(c));
+}
+
 CellSet Grid::covered_cells(std::span<const Point> pts) const {
-  CellSet cells;
-  cells.reserve(pts.size() / 4 + 1);
-  for (const Point p : pts) cells.insert(cell_of(p));
-  return cells;
+  return covered_cells(pts, [](Point p) { return p; });
 }
 
 namespace {
 
-// Packs a cell into the same collision-free 64-bit key CellIndexHash
-// uses (32 offset-binary bits per axis), and the same splitmix64
-// finalizer for the probe hash.
-constexpr std::uint64_t pack_cell(std::int64_t col, std::int64_t row) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(col)) << 32) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(row));
-}
-
+// splitmix64 finalizer over a packed cell_key — the probe hash.
 constexpr std::uint64_t mix_key(std::uint64_t key) {
   std::uint64_t z = key + 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -70,10 +76,10 @@ constexpr std::int64_t floor_to_cell(double q) {
 ///    probed when the cell changes;
 ///  * membership runs against a flat open-addressed key table (the
 ///    GridIndex spatial-hash idiom) — one contiguous linear probe per
-///    changed cell instead of a node-based unordered_set walk per point.
+///    changed cell, and no key vector to sort.
 std::size_t count_distinct_cells(std::span<const double> xs, std::span<const double> ys,
                                  Point origin, double cell_size) {
-  constexpr std::uint64_t kEmpty = ~0ULL;  // pack_cell(-1, -1); tracked separately
+  constexpr std::uint64_t kEmpty = ~0ULL;  // cell_key({-1, -1}); tracked separately
   // Sized so a dense trace rarely regrows, yet the table stays well
   // under the allocator's mmap threshold and repeated calls reuse warm
   // arena pages. Growth below handles spread-out traces.
@@ -87,7 +93,7 @@ std::size_t count_distinct_cells(std::span<const double> xs, std::span<const dou
   for (std::size_t i = 0; i < xs.size(); ++i) {
     const std::int64_t col = floor_to_cell((xs[i] - origin.x) / cell_size);
     const std::int64_t row = floor_to_cell((ys[i] - origin.y) / cell_size);
-    const std::uint64_t key = pack_cell(col, row);
+    const std::uint64_t key = cell_key({col, row});
     if (have_prev && key == prev_key) continue;
     prev_key = key;
     have_prev = true;
@@ -122,22 +128,15 @@ std::size_t count_distinct_cells(std::span<const double> xs, std::span<const dou
 
 CellSet Grid::covered_cells(std::span<const double> xs, std::span<const double> ys) const {
   if (xs.size() != ys.size()) throw std::invalid_argument("covered_cells: column length mismatch");
-  // Set-returning form: the node-based CellSet has to be built either
-  // way, so the flat probe table buys nothing here — just the arithmetic
-  // floor and the consecutive-cell dedup of the ordered columns.
-  CellSet cells;
-  cells.reserve(xs.size() / 4 + 1);
-  CellIndex prev{};
-  bool have_prev = false;
+  // The arithmetic floor plus the consecutive-cell dedup of the ordered
+  // columns; the CellSet constructor sorts and dedups what remains.
+  std::vector<std::uint64_t> keys;
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    const CellIndex c{floor_to_cell((xs[i] - origin_.x) / cell_size_),
-                      floor_to_cell((ys[i] - origin_.y) / cell_size_)};
-    if (have_prev && c == prev) continue;
-    cells.insert(c);
-    prev = c;
-    have_prev = true;
+    const std::uint64_t key = cell_key({floor_to_cell((xs[i] - origin_.x) / cell_size_),
+                                        floor_to_cell((ys[i] - origin_.y) / cell_size_)});
+    if (keys.empty() || keys.back() != key) keys.push_back(key);
   }
-  return cells;
+  return CellSet(std::move(keys));
 }
 
 std::size_t Grid::coverage_count(std::span<const double> xs, std::span<const double> ys) const {
@@ -187,10 +186,23 @@ Point GridExtent::cell_center(CellIndex c) const {
 }
 
 std::size_t intersection_size(const CellSet& a, const CellSet& b) {
-  const CellSet& small = a.size() <= b.size() ? a : b;
-  const CellSet& large = a.size() <= b.size() ? b : a;
+  // Merge count over the two sorted key arrays.
+  const std::span<const std::uint64_t> ka = a.keys();
+  const std::span<const std::uint64_t> kb = b.keys();
+  std::size_t i = 0;
+  std::size_t j = 0;
   std::size_t n = 0;
-  for (const CellIndex c : small) n += large.contains(c) ? 1 : 0;
+  while (i < ka.size() && j < kb.size()) {
+    if (ka[i] < kb[j]) {
+      ++i;
+    } else if (kb[j] < ka[i]) {
+      ++j;
+    } else {
+      ++n;
+      ++i;
+      ++j;
+    }
+  }
   return n;
 }
 

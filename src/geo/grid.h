@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <iterator>
 #include <span>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "geo/bbox.h"
@@ -26,22 +26,52 @@ struct CellIndex {
   friend constexpr bool operator==(CellIndex, CellIndex) = default;
 };
 
-/// Packs a CellIndex into a single 64-bit key (32 bits per axis, offset
-/// binary). Collision-free for |col|,|row| < 2^31, i.e. grids far larger
-/// than the Earth at meter resolution.
+/// Packs a CellIndex into a single 64-bit key (the low 32 bits of each
+/// axis, column high). Collision-free for |col|,|row| < 2^31, i.e. grids
+/// far larger than the Earth at meter resolution.
+[[nodiscard]] constexpr std::uint64_t cell_key(CellIndex c) noexcept {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.col)) << 32) |
+         static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.row));
+}
+
+/// Hash of a CellIndex for unordered containers keyed by cell.
 struct CellIndexHash {
   [[nodiscard]] std::size_t operator()(CellIndex c) const noexcept {
-    const std::uint64_t key = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.col)) << 32) |
-                              static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.row));
-    // splitmix64 finalizer: cheap and well distributed.
-    std::uint64_t z = key + 0x9e3779b97f4a7c15ULL;
+    // splitmix64 finalizer over the packed key: cheap and well distributed.
+    std::uint64_t z = cell_key(c) + 0x9e3779b97f4a7c15ULL;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return static_cast<std::size_t>(z ^ (z >> 31));
   }
 };
 
-using CellSet = std::unordered_set<CellIndex, CellIndexHash>;
+/// A set of grid cells, stored flat as the sorted, deduplicated
+/// cell_key()s. Bulk construction sorts once; intersections are a merge
+/// over two contiguous arrays.
+class CellSet {
+ public:
+  CellSet() = default;
+
+  /// The set of cells whose keys appear in `keys` (any order, duplicates
+  /// allowed).
+  explicit CellSet(std::vector<std::uint64_t> keys);
+
+  /// Adds `c` if absent. Linear in size(); bulk builds use the key
+  /// constructor.
+  void insert(CellIndex c);
+
+  [[nodiscard]] bool contains(CellIndex c) const;
+  [[nodiscard]] std::size_t size() const { return keys_.size(); }
+  [[nodiscard]] bool empty() const { return keys_.empty(); }
+
+  /// The sorted, unique packed keys.
+  [[nodiscard]] std::span<const std::uint64_t> keys() const { return keys_; }
+
+  friend bool operator==(const CellSet&, const CellSet&) = default;
+
+ private:
+  std::vector<std::uint64_t> keys_;
+};
 
 /// Infinite uniform grid of square cells anchored at a configurable origin.
 class Grid {
@@ -72,7 +102,7 @@ class Grid {
   /// Columnar form over contiguous coordinate columns (a trace's
   /// xs()/ys() spans); identical result to the span overload, but
   /// optimized for time-ordered columns: consecutive same-cell samples
-  /// skip the hash insert and the floor is computed arithmetically.
+  /// are collected once and the floor is computed arithmetically.
   /// Requires xs.size() == ys.size().
   [[nodiscard]] CellSet covered_cells(std::span<const double> xs, std::span<const double> ys) const;
 
@@ -84,20 +114,23 @@ class Grid {
   template <typename Range, typename Proj>
     requires requires(const Range& r, Proj p) { Point{p(*std::begin(r))}; }
   [[nodiscard]] CellSet covered_cells(const Range& range, Proj proj) const {
-    CellSet cells;
-    cells.reserve(std::size(range) / 4 + 1);
-    for (const auto& item : range) cells.insert(cell_of(proj(item)));
-    return cells;
+    std::vector<std::uint64_t> keys;
+    for (const auto& item : range) {
+      const std::uint64_t key = cell_key(cell_of(proj(item)));
+      if (keys.empty() || keys.back() != key) keys.push_back(key);
+    }
+    return CellSet(std::move(keys));
   }
 
   /// Number of distinct cells covered by `pts`.
   [[nodiscard]] std::size_t coverage_count(std::span<const Point> pts) const;
 
   /// Columnar coverage count over contiguous coordinate columns — the
-  /// fast path when only the count is needed: it never materializes the
-  /// node-based CellSet, so it runs entirely on a flat scan (same
-  /// optimizations as the columnar covered_cells). Identical to
-  /// covered_cells(xs, ys).size(). Requires xs.size() == ys.size().
+  /// fast path when only the count is needed: it never materializes a
+  /// CellSet, counting through a flat open-addressed probe table instead
+  /// of sorting (same floor and dedup as the columnar covered_cells).
+  /// Identical to covered_cells(xs, ys).size(). Requires
+  /// xs.size() == ys.size().
   [[nodiscard]] std::size_t coverage_count(std::span<const double> xs,
                                            std::span<const double> ys) const;
 

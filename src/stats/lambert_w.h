@@ -2,8 +2,9 @@
 //
 // The planar-Laplace mechanism of Geo-Indistinguishability samples its
 // radius via the inverse CDF r = -(1/ε)·(W₋₁((p-1)/e) + 1), so the W₋₁
-// branch is load-bearing for the whole library. Both real branches are
-// implemented with analytic seeds refined by Halley iterations.
+// branch is load-bearing for the whole library. W₀ refines an analytic
+// seed by Halley iterations; W₋₁, the per-draw hot path, refines its seed
+// by exactly two Fritsch–Shafer–Crowley steps.
 #pragma once
 
 namespace locpriv::stats {

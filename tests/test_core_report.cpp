@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/report.h"
+#include "test_util.h"
 
 namespace locpriv::core {
 namespace {
@@ -97,7 +98,8 @@ TEST(Report, InfeasibleConfigurationExplained) {
 }
 
 TEST(Report, WritesToDisk) {
-  const std::string path = testing::TempDir() + "/locpriv_report_test.md";
+  const testutil::ScratchDir scratch;
+  const std::string path = scratch.path("locpriv_report_test.md");
   const SweepResult sweep = sample_sweep();
   ReportInputs inputs;
   inputs.sweep = &sweep;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/model_store.h"
+#include "test_util.h"
 
 namespace locpriv::core {
 namespace {
@@ -69,7 +70,8 @@ TEST(ModelStore, RejectsBadEnumStrings) {
 }
 
 TEST(ModelStore, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/locpriv_model_test.json";
+  const testutil::ScratchDir scratch;
+  const std::string path = scratch.path("locpriv_model_test.json");
   save_model(path, sample_model());
   const LppmModel back = load_model(path);
   EXPECT_DOUBLE_EQ(back.privacy.fit.slope, 0.17);
@@ -94,6 +96,7 @@ TEST(SweepStore, JsonRoundTrip) {
 }
 
 TEST(SweepStore, CsvExportShapeAndContent) {
+  const testutil::ScratchDir scratch;
   SweepResult s;
   s.parameter = "epsilon";
   s.privacy_metric = "poi-retrieval";
@@ -108,7 +111,7 @@ TEST(SweepStore, CsvExportShapeAndContent) {
   EXPECT_EQ(rows[1][1], "0.05");
   EXPECT_EQ(rows[1][4], "0.02");
 
-  const std::string path = testing::TempDir() + "/locpriv_sweep_test.csv";
+  const std::string path = scratch.path("locpriv_sweep_test.csv");
   save_sweep_csv(path, s);
   std::ifstream in(path);
   std::string header;

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <random>
+#include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "geo/bbox.h"
@@ -160,6 +166,114 @@ TEST(Grid, ColumnarCoverageRejectsMismatchedColumns) {
   const std::vector<double> xs{1, 2}, ys{1};
   EXPECT_THROW((void)g.covered_cells(xs, ys), std::invalid_argument);
   EXPECT_THROW((void)g.coverage_count(xs, ys), std::invalid_argument);
+}
+
+// ----------------------------------------------- flat CellSet equivalence
+
+using CellRef = std::set<std::pair<std::int64_t, std::int64_t>>;
+
+/// Reference coverage: per-point libm floor into an ordered node set.
+CellRef reference_cells(const Grid& g, const std::vector<Point>& pts) {
+  CellRef cells;
+  for (const Point p : pts) {
+    cells.emplace(static_cast<std::int64_t>(std::floor((p.x - g.origin().x) / g.cell_size())),
+                  static_cast<std::int64_t>(std::floor((p.y - g.origin().y) / g.cell_size())));
+  }
+  return cells;
+}
+
+/// Same size plus every reference cell present ⇒ the same set.
+void expect_matches(const CellSet& cells, const CellRef& ref) {
+  ASSERT_EQ(cells.size(), ref.size());
+  for (const auto& [col, row] : ref) EXPECT_TRUE(cells.contains({col, row})) << col << "," << row;
+}
+
+/// A seeded walk straddling the origin — long same-cell runs, revisits
+/// and random jumps across negative and positive cells, with cell
+/// (-1, -1) visited explicitly.
+std::vector<Point> random_walk(std::uint64_t seed, std::size_t n) {
+  std::mt19937_64 gen(seed);
+  std::uniform_real_distribution<double> step(-40.0, 40.0);
+  std::uniform_real_distribution<double> jump(-1500.0, 1500.0);
+  std::vector<Point> pts{{-0.5, -0.5}, {-99.9, -0.001}};
+  Point at{0.0, 0.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    if (gen() % 50 == 0) {
+      at = {jump(gen), jump(gen)};
+    } else {
+      at = {at.x + step(gen), at.y + step(gen)};
+    }
+    pts.push_back(at);
+  }
+  return pts;
+}
+
+TEST(CellSetFlat, EveryCoveredCellsOverloadMatchesOrderedSet) {
+  for (const Point origin : {Point{0.0, 0.0}, Point{37.5, -12.25}}) {
+    const Grid g(100.0, origin);
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const std::vector<Point> pts = random_walk(seed, 2000);
+      std::vector<double> xs;
+      std::vector<double> ys;
+      for (const Point p : pts) {
+        xs.push_back(p.x);
+        ys.push_back(p.y);
+      }
+      const CellRef ref = reference_cells(g, pts);
+      const CellSet by_points = g.covered_cells(pts);
+      const CellSet by_columns = g.covered_cells(xs, ys);
+      const CellSet by_proj = g.covered_cells(pts, [](const Point& p) { return p; });
+      expect_matches(by_points, ref);
+      expect_matches(by_columns, ref);
+      expect_matches(by_proj, ref);
+      EXPECT_EQ(by_columns, by_points);
+      EXPECT_EQ(by_proj, by_points);
+      EXPECT_EQ(g.coverage_count(xs, ys), ref.size());
+    }
+  }
+  const Grid g(100.0);
+  EXPECT_TRUE(g.covered_cells(random_walk(1, 10)).contains({-1, -1}));
+}
+
+TEST(CellSetFlat, InsertKeepsSetSemantics) {
+  CellSet cells;
+  const std::vector<CellIndex> order{{3, -1}, {-1, -1}, {0, 0}, {3, -1}, {-2, 5}, {-1, -1}};
+  for (const CellIndex c : order) cells.insert(c);
+  EXPECT_EQ(cells.size(), 4u);
+  for (const CellIndex c : order) EXPECT_TRUE(cells.contains(c));
+  EXPECT_FALSE(cells.contains({1, -1}));
+  EXPECT_TRUE(std::is_sorted(cells.keys().begin(), cells.keys().end()));
+  // Insertion order does not matter.
+  CellSet reversed;
+  for (auto it = order.rbegin(); it != order.rend(); ++it) reversed.insert(*it);
+  EXPECT_EQ(reversed, cells);
+}
+
+TEST(CellSetFlat, SetOperationsMatchBruteForce) {
+  const Grid g(100.0);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const std::vector<Point> pa = random_walk(seed, 300 + 50 * seed);
+    const std::vector<Point> pb = random_walk(seed + 100, 400);
+    const CellRef ra = reference_cells(g, pa);
+    const CellRef rb = reference_cells(g, pb);
+    CellRef both;
+    std::set_intersection(ra.begin(), ra.end(), rb.begin(), rb.end(),
+                          std::inserter(both, both.end()));
+    const CellSet a = g.covered_cells(pa);
+    const CellSet b = g.covered_cells(pb);
+    const std::size_t inter = both.size();
+    ASSERT_EQ(intersection_size(a, b), inter);
+    ASSERT_EQ(intersection_size(b, a), inter);
+    const double na = static_cast<double>(ra.size());
+    const double nb = static_cast<double>(rb.size());
+    const double ni = static_cast<double>(inter);
+    EXPECT_EQ(jaccard(a, b), ni / (na + nb - ni));
+    const double precision = ni / nb;
+    const double recall = ni / na;
+    const double f1 =
+        precision + recall == 0.0 ? 0.0 : 2.0 * precision * recall / (precision + recall);
+    EXPECT_EQ(f1_score(a, b), f1);
+  }
 }
 
 TEST(CellSetOps, JaccardIdenticalSetsIsOne) {

@@ -114,7 +114,8 @@ TEST_F(FrameworkEndToEnd, InfeasibleObjectivesThrowFromConfigureMechanism) {
 }
 
 TEST_F(FrameworkEndToEnd, ModelSurvivesPersistenceRoundTrip) {
-  const std::string path = testing::TempDir() + "/locpriv_e2e_model.json";
+  const testutil::ScratchDir scratch;
+  const std::string path = scratch.path("locpriv_e2e_model.json");
   save_model(path, framework_->model());
 
   Framework fresh(make_geo_i_system(17));

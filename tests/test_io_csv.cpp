@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "io/csv.h"
+#include "test_util.h"
 
 namespace locpriv::io {
 namespace {
@@ -72,7 +73,8 @@ TEST(CsvFile, MissingFileThrows) {
 }
 
 TEST(CsvFile, RoundTripThroughDisk) {
-  const std::string path = testing::TempDir() + "/locpriv_csv_test.csv";
+  const testutil::ScratchDir scratch;
+  const std::string path = scratch.path("locpriv_csv_test.csv");
   const std::vector<CsvRow> rows{{"user", "value"}, {"u1", "3.14"}};
   write_csv_file(path, rows);
   EXPECT_EQ(read_csv_file(path), rows);

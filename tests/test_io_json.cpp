@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "io/json.h"
+#include "test_util.h"
 
 namespace locpriv::io {
 namespace {
@@ -95,7 +96,8 @@ TEST(JsonWrite, EscapesControlCharacters) {
 }
 
 TEST(JsonFile, RoundTripThroughDisk) {
-  const std::string path = testing::TempDir() + "/locpriv_json_test.json";
+  const testutil::ScratchDir scratch;
+  const std::string path = scratch.path("locpriv_json_test.json");
   JsonObject o;
   o["x"] = 1.5;
   write_json_file(path, JsonValue(std::move(o)));

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "lppm/gaussian.h"
 #include "lppm/geo_ind.h"
@@ -11,6 +15,7 @@
 #include "metrics/area_coverage.h"
 #include "metrics/cell_hit.h"
 #include "metrics/distortion.h"
+#include "metrics/eval_context.h"
 #include "metrics/home_inference.h"
 #include "metrics/poi_preservation.h"
 #include "metrics/poi_retrieval.h"
@@ -96,6 +101,38 @@ TEST(AreaCoverage, JaccardFlavorNoGreaterThanF1) {
   const AreaCoverage jac(115.0, AreaCoverage::Flavor::kJaccard);
   EXPECT_LE(jac.evaluate(d, p), f1.evaluate(d, p) + 1e-12);
   EXPECT_NE(f1.name(), jac.name());
+}
+
+// The registry metric on a fixed protected dataset against the same F1
+// computed here from ordered node sets of libm-floored cells: cell
+// counts are integers, so the two must agree bit for bit.
+TEST(AreaCoverage, F1MatchesOrderedSetReferenceBitForBit) {
+  const trace::Dataset d = testutil::two_stop_dataset(4);
+  const trace::Dataset p = lppm::GeoIndistinguishability(0.01).protect_dataset(d, 7);
+  const double cell = 115.0;
+  const auto cells_of = [&](const trace::Trace& t) {
+    std::set<std::pair<std::int64_t, std::int64_t>> cells;
+    for (const trace::Event& e : t) {
+      cells.emplace(static_cast<std::int64_t>(std::floor(e.location.x / cell)),
+                    static_cast<std::int64_t>(std::floor(e.location.y / cell)));
+    }
+    return cells;
+  };
+  double sum = 0.0;
+  for (std::size_t u = 0; u < d.size(); ++u) {
+    const auto actual = cells_of(d[u]);
+    const auto predicted = cells_of(p[u]);
+    std::size_t inter = 0;
+    for (const auto& c : predicted) inter += actual.count(c);
+    const double precision = static_cast<double>(inter) / static_cast<double>(predicted.size());
+    const double recall = static_cast<double>(inter) / static_cast<double>(actual.size());
+    sum += precision + recall == 0.0 ? 0.0 : 2.0 * precision * recall / (precision + recall);
+  }
+  const double expected = sum / static_cast<double>(d.size());
+  ASSERT_GT(expected, 0.0);
+  ASSERT_LT(expected, 1.0);
+  const double value = create_metric("area-coverage-f1")->evaluate(EvalContext(d, p));
+  EXPECT_EQ(std::memcmp(&value, &expected, sizeof value), 0) << value << " vs " << expected;
 }
 
 TEST(AreaCoverage, RejectsBadCellSize) {

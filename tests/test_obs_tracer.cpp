@@ -14,6 +14,7 @@
 
 #include "io/json.h"
 #include "obs/tracer.h"
+#include "test_util.h"
 
 namespace locpriv::obs {
 namespace {
@@ -140,8 +141,9 @@ TEST_F(TracerTest, TraceDocumentCarriesCountersInOtherData) {
 }
 
 TEST_F(TracerTest, WrittenFileRoundTripsThroughTheJsonParser) {
+  const testutil::ScratchDir scratch;
   { Span span("test", "persisted"); }
-  const std::string path = ::testing::TempDir() + "/trace_roundtrip.json";
+  const std::string path = scratch.path("trace_roundtrip.json");
   Tracer::instance().write_chrome_trace(path);
   const io::JsonValue doc = io::read_json_file(path);
   ASSERT_TRUE(doc.at("traceEvents").is_array());

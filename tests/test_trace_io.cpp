@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "geo/projection.h"
+#include "test_util.h"
 #include "trace/trace_io.h"
 
 namespace locpriv::trace {
@@ -94,7 +95,8 @@ TEST(TraceIo, GeoRejectsOutOfRangeCoordinates) {
 }
 
 TEST(TraceIo, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/locpriv_traceio_test.csv";
+  const testutil::ScratchDir scratch;
+  const std::string path = scratch.path("locpriv_traceio_test.csv");
   save_dataset(path, sample_dataset());
   const Dataset back = load_dataset(path);
   EXPECT_EQ(back.size(), 2u);
@@ -102,7 +104,8 @@ TEST(TraceIo, FileRoundTrip) {
 }
 
 TEST(TraceIo, DeprecatedShimsStillWork) {
-  const std::string path = testing::TempDir() + "/locpriv_traceio_shim.csv";
+  const testutil::ScratchDir scratch;
+  const std::string path = scratch.path("locpriv_traceio_shim.csv");
   write_dataset_csv_file(path, sample_dataset());
   const Dataset back = read_dataset_csv_file(path);
   EXPECT_EQ(back.size(), 2u);
@@ -110,15 +113,16 @@ TEST(TraceIo, DeprecatedShimsStillWork) {
 }
 
 TEST(TraceIo, SaveFormatFollowsExtensionAndOverride) {
+  const testutil::ScratchDir scratch;
   const Dataset d = sample_dataset();
-  const std::string csv_path = testing::TempDir() + "/locpriv_traceio_auto.csv";
-  const std::string bin_path = testing::TempDir() + "/locpriv_traceio_auto.lpds";
+  const std::string csv_path = scratch.path("locpriv_traceio_auto.csv");
+  const std::string bin_path = scratch.path("locpriv_traceio_auto.lpds");
   save_dataset(csv_path, d);
   save_dataset(bin_path, d);
   EXPECT_FALSE(is_binary_dataset_file(csv_path));
   EXPECT_TRUE(is_binary_dataset_file(bin_path));
   // A forced format wins over the extension.
-  const std::string forced = testing::TempDir() + "/locpriv_traceio_forced.csv";
+  const std::string forced = scratch.path("locpriv_traceio_forced.csv");
   save_dataset(forced, d, {.format = SaveOptions::Format::kBinary});
   EXPECT_TRUE(is_binary_dataset_file(forced));
   const Dataset back = load_dataset(forced);
@@ -126,7 +130,8 @@ TEST(TraceIo, SaveFormatFollowsExtensionAndOverride) {
 }
 
 TEST(TraceIo, LoadedDatasetsAreArenaBacked) {
-  const std::string path = testing::TempDir() + "/locpriv_traceio_arena.csv";
+  const testutil::ScratchDir scratch;
+  const std::string path = scratch.path("locpriv_traceio_arena.csv");
   save_dataset(path, sample_dataset());
   const Dataset back = load_dataset(path);
   EXPECT_TRUE(back.columnar());

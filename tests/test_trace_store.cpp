@@ -20,8 +20,6 @@
 namespace locpriv::trace {
 namespace {
 
-std::string temp_path(const std::string& name) { return testing::TempDir() + "/" + name; }
-
 Dataset sample_dataset() {
   Dataset d;
   d.add(Trace("cab-000", {{0, {10.5, -20.25}}, {60, {11.0, -21.0}}, {120, {11.5, -22.5}}}));
@@ -96,9 +94,10 @@ TEST(TraceStore, ViewAndOwnedTracesCompareEqual) {
 // --------------------------------------------------------- binary format
 
 TEST(StoreIo, RoundTripIsByteIdentical) {
+  const testutil::ScratchDir scratch;
   const auto store = TraceStore::from_dataset(sample_dataset());
-  const std::string first = temp_path("store_rt1.lpds");
-  const std::string second = temp_path("store_rt2.lpds");
+  const std::string first = scratch.path("store_rt1.lpds");
+  const std::string second = scratch.path("store_rt2.lpds");
   save_store(first, *store);
 
   for (const bool use_mmap : {false, true}) {
@@ -127,7 +126,8 @@ TEST(StoreIo, RoundTripIsByteIdentical) {
 }
 
 TEST(StoreIo, EmptyDatasetRoundTrips) {
-  const std::string path = temp_path("store_empty.lpds");
+  const testutil::ScratchDir scratch;
+  const std::string path = scratch.path("store_empty.lpds");
   save_store(path, *TraceStore::from_dataset(Dataset{}));
   // Both loaders must handle the degenerate file; mmap quietly falls
   // back to the heap read if the kernel rejects the tiny mapping.
@@ -138,24 +138,26 @@ TEST(StoreIo, EmptyDatasetRoundTrips) {
     EXPECT_EQ(loaded->user_count(), 0u);
     EXPECT_EQ(loaded->event_count(), 0u);
     // Re-saving the degenerate store reproduces the file byte for byte.
-    const std::string resaved = temp_path("store_empty_rt.lpds");
+    const std::string resaved = scratch.path("store_empty_rt.lpds");
     save_store(resaved, *loaded);
     EXPECT_EQ(slurp(path), slurp(resaved));
   }
 }
 
 TEST(StoreIo, EmptyDatasetRoundTripsThroughCsv) {
-  const std::string path = temp_path("store_empty.csv");
+  const testutil::ScratchDir scratch;
+  const std::string path = scratch.path("store_empty.csv");
   save_dataset(path, Dataset{}, {.format = SaveOptions::Format::kCsv});
   const Dataset loaded = load_dataset(path);
   EXPECT_EQ(loaded.size(), 0u);
 }
 
 TEST(StoreIo, SingleEventDatasetRoundTripsInBothFormats) {
+  const testutil::ScratchDir scratch;
   Dataset d;
   d.add(Trace("solo", {{42, {1.5, -2.25}}}));
 
-  const std::string bin = temp_path("store_single.lpds");
+  const std::string bin = scratch.path("store_single.lpds");
   save_store(bin, *TraceStore::from_dataset(d));
   for (const bool use_mmap : {false, true}) {
     LoadOptions opts;
@@ -167,12 +169,12 @@ TEST(StoreIo, SingleEventDatasetRoundTripsInBothFormats) {
     EXPECT_EQ(loaded->times(0)[0], 42);
     EXPECT_EQ(loaded->xs(0)[0], 1.5);
     EXPECT_EQ(loaded->ys(0)[0], -2.25);
-    const std::string resaved = temp_path("store_single_rt.lpds");
+    const std::string resaved = scratch.path("store_single_rt.lpds");
     save_store(resaved, *loaded);
     EXPECT_EQ(slurp(bin), slurp(resaved));
   }
 
-  const std::string csv = temp_path("store_single.csv");
+  const std::string csv = scratch.path("store_single.csv");
   save_dataset(csv, d, {.format = SaveOptions::Format::kCsv});
   const Dataset from_csv = load_dataset(csv);
   ASSERT_EQ(from_csv.size(), 1u);
@@ -180,10 +182,11 @@ TEST(StoreIo, SingleEventDatasetRoundTripsInBothFormats) {
 }
 
 TEST(StoreIo, SniffsBinaryFiles) {
-  const std::string bin = temp_path("store_sniff.lpds");
+  const testutil::ScratchDir scratch;
+  const std::string bin = scratch.path("store_sniff.lpds");
   save_store(bin, *TraceStore::from_dataset(sample_dataset()));
   EXPECT_TRUE(is_binary_dataset_file(bin));
-  const std::string csv = temp_path("store_sniff.csv");
+  const std::string csv = scratch.path("store_sniff.csv");
   save_dataset(csv, sample_dataset(), {.format = SaveOptions::Format::kCsv});
   EXPECT_FALSE(is_binary_dataset_file(csv));
   EXPECT_FALSE(is_binary_dataset_file("/nonexistent/nowhere.lpds"));
@@ -194,14 +197,14 @@ TEST(StoreIo, SniffsBinaryFiles) {
 class StoreIoErrors : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = temp_path("store_err.lpds");
+    path_ = scratch_.path("store_err.lpds");
     save_store(path_, *TraceStore::from_dataset(sample_dataset()));
     bytes_ = slurp(path_);
   }
 
   /// Writes a mutated copy of the valid file and returns its path.
   std::string write_mutated(const std::vector<char>& bytes) const {
-    const std::string mutated = temp_path("store_err_mut.lpds");
+    const std::string mutated = scratch_.path("store_err_mut.lpds");
     std::ofstream out(mutated, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     return mutated;
@@ -221,6 +224,7 @@ class StoreIoErrors : public ::testing::Test {
     }
   }
 
+  testutil::ScratchDir scratch_;
   std::string path_;
   std::vector<char> bytes_;
 };
@@ -286,7 +290,8 @@ bool has_temp_leftovers(const std::filesystem::path& dir) {
 }
 
 TEST(StoreIo, SaveLeavesNoTempFilesBehind) {
-  const std::filesystem::path dir = std::filesystem::path(temp_path("atomic_ok"));
+  const testutil::ScratchDir scratch;
+  const std::filesystem::path dir = scratch.dir() / "atomic_ok";
   std::filesystem::create_directory(dir);
   const std::string path = (dir / "data.lpds").string();
   save_store(path, *TraceStore::from_dataset(sample_dataset()));
@@ -299,7 +304,8 @@ TEST(StoreIo, SaveLeavesNoTempFilesBehind) {
 // target is a directory. The temp file must be cleaned up and the
 // target left exactly as it was.
 TEST(StoreIo, FailedRenameCleansUpTempAndKeepsTarget) {
-  const std::filesystem::path dir = std::filesystem::path(temp_path("atomic_fail"));
+  const testutil::ScratchDir scratch;
+  const std::filesystem::path dir = scratch.dir() / "atomic_fail";
   std::filesystem::create_directory(dir);
   const std::filesystem::path target = dir / "occupied.lpds";
   std::filesystem::create_directory(target);  // rename over a directory fails
@@ -313,7 +319,8 @@ TEST(StoreIo, FailedRenameCleansUpTempAndKeepsTarget) {
 // A target whose parent directory does not exist fails at open time;
 // there must be nothing to clean up and nothing created.
 TEST(StoreIo, UnwritableTargetLeavesNothingBehind) {
-  const std::filesystem::path dir = std::filesystem::path(temp_path("atomic_noparent"));
+  const testutil::ScratchDir scratch;
+  const std::filesystem::path dir = scratch.dir() / "atomic_noparent";
   std::filesystem::create_directory(dir);
   const std::string path = (dir / "missing" / "data.lpds").string();
   EXPECT_THROW(save_store(path, *TraceStore::from_dataset(sample_dataset())),
@@ -324,7 +331,8 @@ TEST(StoreIo, UnwritableTargetLeavesNothingBehind) {
 // A failed save must not clobber an existing good file: readers can
 // keep loading the previous version.
 TEST(StoreIo, FailedSavePreservesExistingFile) {
-  const std::filesystem::path dir = std::filesystem::path(temp_path("atomic_keep"));
+  const testutil::ScratchDir scratch;
+  const std::filesystem::path dir = scratch.dir() / "atomic_keep";
   std::filesystem::create_directory(dir);
   const std::string path = (dir / "data.lpds").string();
   save_store(path, *TraceStore::from_dataset(sample_dataset()));
@@ -381,7 +389,8 @@ void expect_sweep_points_bit_identical(const core::SweepResult& a, const core::S
 }
 
 TEST(StoreIo, SweepIsBitIdenticalAcrossEnginesAndThreads) {
-  const std::string path = temp_path("store_sweep.lpds");
+  const testutil::ScratchDir scratch;
+  const std::string path = scratch.path("store_sweep.lpds");
   save_store(path, *TraceStore::from_dataset(testutil::two_stop_dataset(4)));
 
   LoadOptions heap_opts;
@@ -407,7 +416,8 @@ TEST(StoreIo, SweepIsBitIdenticalAcrossEnginesAndThreads) {
 }
 
 TEST(StoreIo, EvaluatePointMatchesAcrossEngines) {
-  const std::string path = temp_path("store_evalpt.lpds");
+  const testutil::ScratchDir scratch;
+  const std::string path = scratch.path("store_evalpt.lpds");
   save_store(path, *TraceStore::from_dataset(testutil::two_stop_dataset(3)));
 
   LoadOptions heap_opts;

@@ -1,13 +1,57 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "trace/dataset.h"
 #include "trace/trace.h"
 
 namespace locpriv::testutil {
+
+/// A fresh directory private to the running test, removed with its
+/// contents when the object goes out of scope. ctest runs every test
+/// case in its own process, possibly next to other cases of the same
+/// suite, so files must not share fixed names under the common temp
+/// directory: this one is named after the test's full name, the process
+/// id and a per-process sequence number.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    static std::atomic<unsigned> sequence{0};
+    const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = info != nullptr
+                           ? std::string(info->test_suite_name()) + "." + info->name()
+                           : std::string("no_test");
+    std::replace(name.begin(), name.end(), '/', '_');  // parameterized names
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           ("locpriv_" + name + "_" + std::to_string(::getpid()) + "_" +
+            std::to_string(sequence++));
+    std::filesystem::remove_all(dir_);  // left by an earlier process with this pid
+    std::filesystem::create_directories(dir_);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  [[nodiscard]] const std::filesystem::path& dir() const { return dir_; }
+
+  /// Path of the file `name` inside the directory.
+  [[nodiscard]] std::string path(const std::string& name) const { return (dir_ / name).string(); }
+
+ private:
+  std::filesystem::path dir_;
+};
 
 /// A trace that sits at `where` from t=0 for `duration_s`, reporting
 /// every `interval_s`.
