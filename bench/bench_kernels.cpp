@@ -696,7 +696,7 @@ io::JsonObject bench_optimal(bool smoke, double& speedup_out, bool& identical_ou
     row["optimal_utility"] = opt_pt.utility_mean;
     row["laplace_privacy"] = lap_pt.privacy_mean;
     row["laplace_utility"] = lap_pt.utility_mean;
-    frontier.push_back(io::JsonValue(row));
+    frontier.emplace_back(std::move(row));
   }
 
   // Thread-count bit-identity of a sweep over the optimal mechanism —

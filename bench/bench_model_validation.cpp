@@ -53,7 +53,7 @@ int main() {
     for (const core::PerUserPoint& p : breakdown) per_user.push_back(p.privacy);
     const stats::ConfidenceInterval ci = stats::bootstrap_mean_ci(per_user, 0.95, 2000, 7);
     ci_table.add_row({io::Table::num(eps, 3), io::Table::num(ci.point_estimate, 3),
-                      "[" + io::Table::num(ci.lower, 3) + ", " + io::Table::num(ci.upper, 3) + "]",
+                      io::Table::interval(ci.lower, ci.upper, 3),
                       io::Table::num(ci.width(), 3)});
   }
   ci_table.print(std::cout);

@@ -65,8 +65,7 @@ int main() {
                      io::Table::num(model.privacy.fit.r_squared, 3),
                      io::Table::num(model.utility.fit.slope, 3),
                      io::Table::num(model.utility.fit.r_squared, 3),
-                     "[" + io::Table::num(model.param_low, 2) + ", " +
-                         io::Table::num(model.param_high, 2) + "]",
+                     io::Table::interval(model.param_low, model.param_high, 2),
                      auc, sign_ok ? "ok" : "UNEXPECTED"});
     } catch (const std::exception& e) {
       table.add_row({t.mechanism, t.parameter, "-", "-", "-", "-", e.what(), "-", "-"});

@@ -102,7 +102,7 @@ void run_client(const net::Endpoint& shard_ep, const std::vector<std::uint32_t>&
         net::SubmitPayload sp;
         sp.tag = submitted;
         const std::uint32_t g = user_index[submitted];
-        sp.user_id = "u" + std::to_string(g);
+        sp.user_id = std::string("u").append(std::to_string(g));
         sp.event.time = 0;
         sp.event.location = {1500.0 + static_cast<double>(g % 97) * 10.0,
                              1500.0 + static_cast<double>(g % 89) * 10.0};
@@ -243,7 +243,7 @@ RunResult run_fleet(const net::Endpoint& base, const std::string& dataset_path,
   routing.shards = shards;
   std::vector<std::vector<std::uint32_t>> per_shard(shards);
   for (std::size_t i = 0; i < users; ++i) {
-    per_shard[routing.shard_of("u" + std::to_string(i))].push_back(
+    per_shard[routing.shard_of(std::string("u").append(std::to_string(i)))].push_back(
         static_cast<std::uint32_t>(i));
   }
 

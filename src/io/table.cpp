@@ -33,6 +33,15 @@ void Table::add_row(std::vector<std::string> row) {
 
 std::string Table::num(double v, int precision) { return format_double(v, precision); }
 
+std::string Table::interval(double lo, double hi, int precision) {
+  std::string s = "[";
+  s += num(lo, precision);
+  s += ", ";
+  s += num(hi, precision);
+  s += ']';
+  return s;
+}
+
 void Table::print(std::ostream& os) const {
   std::vector<std::size_t> widths(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) widths[c] = header_[c].size();

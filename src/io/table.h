@@ -19,6 +19,8 @@ class Table {
 
   /// Convenience: formats doubles with `precision` significant digits.
   [[nodiscard]] static std::string num(double v, int precision = 4);
+  /// Convenience: "[lo, hi]" with both ends formatted as num().
+  [[nodiscard]] static std::string interval(double lo, double hi, int precision = 4);
 
   [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
 

@@ -2,8 +2,8 @@
 // behind the redesigned Metric API.
 //
 // Every metric evaluation derives intermediate artifacts from the traces
-// it scores: stay points, POI sets, coverage rasters, nearest-site
-// assignments. The actual-side artifacts depend only on the input
+// it scores: stay points, POI sets, coverage rasters, home/work
+// estimates. The actual-side artifacts depend only on the input
 // dataset and the derivation parameters — they are invariant across all
 // sweep points, trials, metrics and worker threads — and the
 // protected-side artifacts are shared between the two metrics evaluated

@@ -134,7 +134,7 @@ io::JsonValue Tracer::trace_json() {
       event.emplace("pid", 1);
       event.emplace("tid", static_cast<std::size_t>(rec.tid));
       if (!args.empty()) event.emplace("args", std::move(args));
-      events.push_back(io::JsonValue(std::move(event)));
+      events.emplace_back(std::move(event));
     }
   }
   io::JsonObject doc;

@@ -93,8 +93,7 @@ Gateway::Gateway(const GatewayConfig& cfg, SessionManager::SessionFactory factor
   // ε histogram sized to the budget: spend can never legitimately
   // exceed it, so overflow in the ε histogram would itself be a bug
   // signal.
-  telemetry_ = std::make_unique<Telemetry>(/*latency_hi_us=*/50'000.0,
-                                           /*eps_hi=*/cfg.budget_eps * 1.05);
+  telemetry_ = std::make_unique<Telemetry>(cfg.budget_eps * 1.05);
   if (cfg_.objectives.has_value()) control_log_ = std::make_unique<adaptive::ControlLog>();
   // An empty factory means "the configured default": static budgeted
   // Geo-I, or the closed loop when objectives are set. A caller-

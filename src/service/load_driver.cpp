@@ -35,7 +35,7 @@ LoadResult replay_dataset(const trace::Dataset& data, Gateway& gateway,
     ++result.submitted;
     if (gateway.submit(*item.user_id, item.event)) ++result.accepted;
   }
-  if (cfg.drain_after) gateway.drain();
+  gateway.drain();
   const auto wall_end = std::chrono::steady_clock::now();
   result.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();
   result.events_per_sec =

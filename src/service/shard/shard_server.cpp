@@ -12,6 +12,14 @@
 #include "trace/store_io.h"
 
 namespace locpriv::service::shard {
+namespace {
+
+/// Outbox backlog (bytes) above which a connection stops being read.
+constexpr std::size_t kOutboxHighWater = std::size_t{1} << 20;
+/// Backlog below which a paused connection resumes.
+constexpr std::size_t kOutboxLowWater = std::size_t{1} << 18;
+
+}  // namespace
 
 ShardServer::ShardServer(ShardServerConfig cfg, net::Fd control) : cfg_(std::move(cfg)) {
   net::ignore_sigpipe();
@@ -349,9 +357,9 @@ void ShardServer::flush(Conn& conn) {
   }
   const std::size_t queued = conn.backlog.size() - conn.backlog_pos;
   if (!conn.close_after_flush && !draining_) {
-    if (conn.read_paused && queued < cfg_.outbox_low_water) {
+    if (conn.read_paused && queued < kOutboxLowWater) {
       conn.read_paused = false;
-    } else if (!conn.read_paused && queued > cfg_.outbox_high_water) {
+    } else if (!conn.read_paused && queued > kOutboxHighWater) {
       conn.read_paused = true;
     }
   }

@@ -120,7 +120,6 @@ bool ShardService::fork_shard(std::size_t k) {
     shard_cfg.gateway = cfg_.gateway;
     shard_cfg.dataset_path = cfg_.dataset_path;
     shard_cfg.audit = cfg_.audit;
-    shard_cfg.backend = cfg_.backend;
     ShardServer server(std::move(shard_cfg), net::Fd(sv[1]));
     if (!server.start()) {
       std::fprintf(stderr, "shard %zu: %s\n", k, server.error().c_str());

@@ -8,16 +8,18 @@
 namespace locpriv::service {
 namespace {
 
+constexpr double kLatencyHiUs = 50'000.0;
+constexpr double kBackoffHiUs = 20'000.0;
 constexpr std::size_t kLatencyBins = 2048;
 constexpr std::size_t kEpsBins = 256;
 constexpr std::size_t kBackoffBins = 512;
 
 }  // namespace
 
-Telemetry::Telemetry(double latency_hi_us, double eps_hi, double backoff_hi_us)
-    : latency_us_(0.0, latency_hi_us, kLatencyBins),
+Telemetry::Telemetry(double eps_hi)
+    : latency_us_(0.0, kLatencyHiUs, kLatencyBins),
       eps_spend_(0.0, eps_hi, kEpsBins),
-      backoff_us_(0.0, backoff_hi_us, kBackoffBins) {}
+      backoff_us_(0.0, kBackoffHiUs, kBackoffBins) {}
 
 void Telemetry::record_delivered(double latency_us, double eps_spent_window) {
   delivered_.fetch_add(1, std::memory_order_relaxed);

@@ -71,11 +71,10 @@ struct TelemetrySnapshot {
 /// called concurrently by every worker plus the submitting thread.
 class Telemetry {
  public:
-  /// `latency_hi_us` / `eps_hi` / `backoff_hi_us` bound the histogram
-  /// ranges; samples above land in the overflow tally and saturate the
-  /// quantiles at the bound.
-  Telemetry(double latency_hi_us = 50'000.0, double eps_hi = 1.0,
-            double backoff_hi_us = 20'000.0);
+  /// `eps_hi` bounds the ε-spend histogram (latency tops out at 50 ms,
+  /// backoff at 20 ms); samples above a bound land in the overflow tally
+  /// and saturate the quantiles at it.
+  explicit Telemetry(double eps_hi = 1.0);
 
   void record_received() { received_.fetch_add(1, std::memory_order_relaxed); }
   void record_rejected_queue_full() {

@@ -1,7 +1,6 @@
 // Trace cleaning: the preprocessing a real pipeline runs before any
 // analysis, undoing the damage synth::inject_faults models — teleport
-// glitches, stuck-receiver duplicates. (Outages cannot be undone; use
-// split_by_gap to stop interpolating across them.)
+// glitches, stuck-receiver duplicates. (Outages cannot be undone.)
 #pragma once
 
 #include "trace/dataset.h"

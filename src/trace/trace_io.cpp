@@ -1,10 +1,7 @@
 #include "trace/trace_io.h"
 
 #include <fstream>
-#include <iostream>
 #include <map>
-#include <mutex>
-#include <set>
 #include <stdexcept>
 
 #include "io/csv.h"
@@ -12,18 +9,6 @@
 
 namespace locpriv::trace {
 namespace {
-
-/// Warns about one deprecated entry point at most once per process —
-/// the same contract as io::ArgParser's deprecated-alias notes: a tool
-/// looping over files should not spam stderr with identical lines.
-void warn_deprecated_io_once(const char* old_name, const char* replacement) {
-  static std::mutex mutex;
-  static std::set<std::string> warned;
-  const std::lock_guard<std::mutex> lock(mutex);
-  if (!warned.insert(old_name).second) return;
-  std::cerr << "warning: trace::" << old_name << " is deprecated; use trace::" << replacement
-            << "\n";
-}
 
 /// Groups rows into traces preserving first-seen user order.
 class DatasetBuilder {
@@ -131,11 +116,6 @@ void save_dataset(const std::string& path, const Dataset& d, const SaveOptions& 
   }
 }
 
-void write_dataset_csv_file(const std::string& path, const Dataset& d) {
-  warn_deprecated_io_once("write_dataset_csv_file", "save_dataset");
-  write_csv_file(path, d);
-}
-
 Dataset read_dataset_csv(std::istream& in) {
   const std::vector<io::CsvRow> rows = io::read_csv(in);
   if (rows.empty()) throw std::runtime_error("dataset csv: empty input");
@@ -150,11 +130,6 @@ Dataset read_dataset_csv(std::istream& in) {
                               {parse_double(row[2], i + 1, "x"), parse_double(row[3], i + 1, "y")}});
   }
   return builder.build();
-}
-
-Dataset read_dataset_csv_file(const std::string& path) {
-  warn_deprecated_io_once("read_dataset_csv_file", "load_dataset");
-  return read_csv_file(path);
 }
 
 void write_dataset_geo_csv(std::ostream& out, const Dataset& d, const geo::LocalProjection& proj) {

@@ -124,7 +124,7 @@ TEST(OptimalGeoIndRegistry, DeterministicFlagMatchesObservedBehavior) {
       EXPECT_TRUE(traces_equal(a, b)) << name << " declares deterministic but reacts to the seed";
     }
   }
-  for (const std::string& name :
+  for (const char* name :
        {"geo-indistinguishability", "gaussian-perturbation", "optimal-geo-ind"}) {
     const std::unique_ptr<Mechanism> mech = create_mechanism(name);
     // A small epsilon spreads the optimal mechanism's reporting rows;

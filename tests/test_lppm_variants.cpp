@@ -4,10 +4,7 @@
 
 #include "lppm/geo_ind.h"
 #include "lppm/geo_ind_variants.h"
-#include "lppm/geohash_cloaking.h"
 
-#include "geo/geohash.h"
-#include "geo/projection.h"
 #include "stats/online.h"
 #include "test_util.h"
 
@@ -109,43 +106,6 @@ TEST(ElasticGeoInd, DeterministicInSeed) {
   const trace::Trace input = testutil::two_stop_trace("u", {0, 0}, {0, 2000});
   EXPECT_EQ(mech.protect(input, 11), mech.protect(input, 11));
   EXPECT_NE(mech.protect(input, 11), mech.protect(input, 12));
-}
-
-TEST(GeohashCloaking, SnapsToGeohashCellCenters) {
-  const geo::LocalProjection proj({37.7749, -122.4194});
-  const GeohashCloaking mech(proj, 7);
-  const trace::Trace input = testutil::two_stop_trace("u", {100, 100}, {100, 3100});
-  const trace::Trace out = mech.protect(input, 1);
-  for (const trace::Event& e : out) {
-    const geo::LatLng c = proj.to_geo(e.location);
-    const geo::LatLng center = geo::geohash_decode(geo::geohash_encode(c, 7)).center();
-    EXPECT_NEAR(c.lat, center.lat, 1e-9);
-    EXPECT_NEAR(c.lng, center.lng, 1e-9);
-  }
-}
-
-TEST(GeohashCloaking, CoarserPrecisionMeansLargerDisplacement) {
-  const geo::LocalProjection proj({37.7749, -122.4194});
-  const trace::Trace input = testutil::stationary_trace("u", {137, 211}, 600);
-  auto displacement = [&](int precision) {
-    const GeohashCloaking mech(proj, precision);
-    const trace::Trace out = mech.protect(input, 1);
-    return geo::distance(out[0].location, input[0].location);
-  };
-  // Precision 5 cells (~5 km) displace more than precision 8 (~38 m);
-  // monotone in expectation, strictly here by construction of the point.
-  EXPECT_GT(displacement(5), displacement(8));
-}
-
-TEST(GeohashCloaking, SeedIrrelevantAndSweepable) {
-  const geo::LocalProjection proj({37.7749, -122.4194});
-  GeohashCloaking mech(proj);
-  const trace::Trace input = testutil::two_stop_trace("u", {0, 0}, {0, 2000});
-  EXPECT_EQ(mech.protect(input, 1), mech.protect(input, 2));
-  // Fractional sweep values round at protect time.
-  mech.set_parameter(GeohashCloaking::kPrecision, 6.4);
-  EXPECT_NO_THROW((void)mech.protect(input, 1));
-  EXPECT_THROW(mech.set_parameter(GeohashCloaking::kPrecision, 13.0), std::out_of_range);
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "metrics/home_inference.h"
 #include "metrics/poi_preservation.h"
 #include "metrics/poi_retrieval.h"
-#include "metrics/query_consistency.h"
 #include "metrics/registry.h"
 #include "metrics/reident_metric.h"
 #include "metrics/spatial_entropy.h"
@@ -239,25 +238,6 @@ TEST(HomeInference, DetectsHomeLossUnderNoise) {
   EXPECT_LT(metric.evaluate(d, strong.protect_dataset(d, 3)), 1.0);
   EXPECT_EQ(metric.direction(), Direction::kLowerIsMorePrivate);
   EXPECT_THROW(HomeInferenceRate({}, 0.0), std::invalid_argument);
-}
-
-TEST(QueryConsistency, PerfectWithoutProtection) {
-  const NearestPoiConsistency metric({{0, 0}, {5000, 0}, {0, 5000}});
-  const trace::Dataset d = testutil::two_stop_dataset(2);
-  EXPECT_DOUBLE_EQ(metric.evaluate(d, identity_protected(d)), 1.0);
-  EXPECT_THROW(NearestPoiConsistency({}), std::invalid_argument);
-}
-
-TEST(QueryConsistency, DegradesNearSiteBoundaries) {
-  // Sites 200 m apart; user halfway between them: moderate noise flips
-  // the nearest answer often.
-  const NearestPoiConsistency metric({{0, 0}, {200, 0}});
-  trace::Dataset d;
-  d.add(testutil::stationary_trace("u", {60, 0}, 6000, 10));  // nearer site 0
-  const lppm::GaussianPerturbation noisy(150.0);
-  const double v = metric.evaluate(d, noisy.protect_dataset(d, 1));
-  EXPECT_LT(v, 0.9);
-  EXPECT_GT(v, 0.1);
 }
 
 TEST(PoiPreservation, MirrorsRetrievalOnTheUtilityAxis) {

@@ -12,11 +12,7 @@ namespace locpriv::service {
 namespace {
 
 Request req(std::uint64_t seq) {
-  Request r;
-  r.user_id = "u";
-  r.event = {static_cast<trace::Timestamp>(seq), {0, 0}};
-  r.seq = seq;
-  return r;
+  return {.user_id = "u", .event = {static_cast<trace::Timestamp>(seq), {0, 0}}, .seq = seq};
 }
 
 TEST(RequestQueue, FifoSingleThread) {

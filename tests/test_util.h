@@ -100,7 +100,7 @@ inline trace::Dataset two_stop_dataset(std::size_t n, double spacing_m = 3000.0)
   trace::Dataset d;
   for (std::size_t i = 0; i < n; ++i) {
     const double off = static_cast<double>(i) * spacing_m;
-    d.add(two_stop_trace("u" + std::to_string(i), {off, 0.0}, {off, 2000.0}));
+    d.add(two_stop_trace(std::string("u").append(std::to_string(i)), {off, 0.0}, {off, 2000.0}));
   }
   return d;
 }

@@ -311,13 +311,11 @@ int cmd_fit(const Args& args) {
   table.add_row({"privacy", model.privacy_metric, io::Table::num(model.privacy.fit.intercept, 4),
                  io::Table::num(model.privacy.fit.slope, 4),
                  io::Table::num(model.privacy.fit.r_squared, 3),
-                 "[" + io::Table::num(model.privacy.param_low, 3) + ", " +
-                     io::Table::num(model.privacy.param_high, 3) + "]"});
+                 io::Table::interval(model.privacy.param_low, model.privacy.param_high, 3)});
   table.add_row({"utility", model.utility_metric, io::Table::num(model.utility.fit.intercept, 4),
                  io::Table::num(model.utility.fit.slope, 4),
                  io::Table::num(model.utility.fit.r_squared, 3),
-                 "[" + io::Table::num(model.utility.param_low, 3) + ", " +
-                     io::Table::num(model.utility.param_high, 3) + "]"});
+                 io::Table::interval(model.utility.param_low, model.utility.param_high, 3)});
   table.print(std::cout);
   std::cout << "\nwrote model to " << parsed.get("out") << "\n";
   return 0;

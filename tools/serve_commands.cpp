@@ -28,13 +28,6 @@ net::Endpoint parse_endpoint_arg(const std::string& spec) {
   return *ep;
 }
 
-net::EventLoop::Backend parse_backend(const std::string& name) {
-  if (name == "default") return net::EventLoop::Backend::kDefault;
-  if (name == "epoll") return net::EventLoop::Backend::kEpoll;
-  if (name == "poll") return net::EventLoop::Backend::kPoll;
-  throw std::runtime_error("unknown backend '" + name + "' (default | epoll | poll)");
-}
-
 }  // namespace
 
 int cmd_serve(const Args& args) {
@@ -65,9 +58,7 @@ int cmd_serve(const Args& args) {
       .add({.name = "audit", .help = "arena-backed delivered-vs-original audit per shard",
             .is_flag = true})
       .add({.name = "reload-file",
-            .help = "JSON re-read on SIGHUP: {\"faults\": spec, \"objectives\": spec}"})
-      .add({.name = "backend", .help = "event loop backend: default | epoll | poll",
-            .default_value = "default"});
+            .help = "JSON re-read on SIGHUP: {\"faults\": spec, \"objectives\": spec}"});
   const io::ParsedArgs parsed = parser.parse(args);
 
   service::shard::ShardServiceConfig cfg;
@@ -76,7 +67,6 @@ int cmd_serve(const Args& args) {
   if (parsed.has("data")) cfg.dataset_path = parsed.get("data");
   cfg.audit = parsed.get_flag("audit");
   if (parsed.has("reload-file")) cfg.reload_file = parsed.get("reload-file");
-  cfg.backend = parse_backend(parsed.get("backend"));
 
   service::GatewayConfig& gw = cfg.gateway;
   gw.workers = static_cast<std::size_t>(parsed.get_int("workers"));
