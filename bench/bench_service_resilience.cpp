@@ -138,18 +138,22 @@ int main() {
     const SoakRun a = run_soak(data, policy);
     const SoakRun b = run_soak(data, policy);
 
+    using service::Count;
     const auto& s = a.snap;
     const bool exactly_once =
         a.answers == a.submitted &&
-        s.received == s.delivered + s.suppressed_budget + s.rejected_queue_full +
-                          s.degraded_suppressed + s.degraded_fallback;
+        s[Count::received] == s[Count::delivered] + s[Count::suppressed_budget] +
+                                  s[Count::rejected_queue_full] + s[Count::degraded_suppressed] +
+                                  s[Count::degraded_fallback];
     const bool reproducible = a.digest == b.digest && a.answers == b.answers;
     all_ok = all_ok && exactly_once && reproducible;
 
-    table.add_row({service::to_string(policy), std::to_string(s.delivered),
-                   std::to_string(s.degraded_suppressed + s.degraded_fallback),
-                   std::to_string(s.rejected_queue_full), std::to_string(s.downstream_retries),
-                   std::to_string(s.breaker_trips), std::to_string(s.breaker_short_circuits),
+    table.add_row({service::to_string(policy), std::to_string(s[Count::delivered]),
+                   std::to_string(s[Count::degraded_suppressed] + s[Count::degraded_fallback]),
+                   std::to_string(s[Count::rejected_queue_full]),
+                   std::to_string(s[Count::downstream_retries]),
+                   std::to_string(s[Count::breaker_trips]),
+                   std::to_string(s[Count::breaker_short_circuits]),
                    std::to_string(static_cast<long long>(s.latency_p99_us)),
                    exactly_once ? "yes" : "NO", reproducible ? "yes" : "NO"});
   }

@@ -52,9 +52,9 @@ int main() {
                    std::to_string(static_cast<long long>(load.events_per_sec)),
                    std::to_string(static_cast<long long>(snap.latency_p50_us)),
                    std::to_string(static_cast<long long>(snap.latency_p99_us)),
-                   std::to_string(snap.delivered),
-                   std::to_string(snap.suppressed_budget),
-                   std::to_string(snap.rejected_queue_full),
+                   std::to_string(snap[service::Count::delivered]),
+                   std::to_string(snap[service::Count::suppressed_budget]),
+                   std::to_string(snap[service::Count::rejected_queue_full]),
                    io::Table::num(speedup, 2) + "x"});
   }
   table.print(std::cout);

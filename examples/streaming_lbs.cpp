@@ -95,8 +95,9 @@ int main() {
   std::cout << "\nmean query consistency under streaming Geo-I: "
             << io::Table::num(consistency_sum / static_cast<double>(users.size()), 3) << "\n";
   std::cout << "gateway: " << static_cast<long long>(load.events_per_sec) << " events/sec, p99 "
-            << static_cast<long long>(snap.latency_p99_us) << " us, " << snap.sessions_created
-            << " sessions, max window eps spend " << io::Table::num(snap.eps_max_seen, 3)
+            << static_cast<long long>(snap.latency_p99_us) << " us, "
+            << snap[service::Count::sessions_created] << " sessions, max window eps spend "
+            << io::Table::num(snap.eps_max_seen, 3)
             << " (budget " << cfg.budget_eps << ")\n";
   std::cout << "suppressed reports are the price of the epsilon budget: the client\n"
                "falls back to its last delivered (already protected) location for those.\n";

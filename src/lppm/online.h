@@ -19,6 +19,8 @@
 
 namespace locpriv::lppm {
 
+class GeoIndBudget;
+
 /// A per-user protection stream. Not thread-safe: one session per user
 /// stream, as in a real app.
 class StreamSession {
@@ -28,6 +30,9 @@ class StreamSession {
   /// Protects one report. nullopt means the report is suppressed (not
   /// sent to the service at all) — dropout and budget exhaustion do this.
   [[nodiscard]] virtual std::optional<trace::Event> report(const trace::Event& e) = 0;
+
+  /// The ε ledger this session spends from; nullptr when it has none.
+  [[nodiscard]] virtual const GeoIndBudget* budget() const { return nullptr; }
 };
 
 /// Creates a streaming session for `mechanism` with its current
@@ -91,7 +96,7 @@ class BudgetedGeoIndSession final : public StreamSession {
 
   [[nodiscard]] std::optional<trace::Event> report(const trace::Event& e) override;
 
-  [[nodiscard]] const GeoIndBudget& budget_state() const { return budget_; }
+  [[nodiscard]] const GeoIndBudget* budget() const override { return &budget_; }
   [[nodiscard]] std::size_t suppressed_count() const { return suppressed_; }
 
  private:

@@ -172,26 +172,6 @@ bool ShardClient::connect(const Endpoint& supervisor) {
   return true;
 }
 
-bool ShardClient::reconnect_dead_shards() {
-  std::string reply;
-  if (!supervisor_.request(FrameType::kShardMapReq, "", FrameType::kShardMapReply, reply)) {
-    error_ = supervisor_.error();
-    return false;
-  }
-  const auto map = ShardMap::from_json(reply, &error_);
-  if (!map) return false;
-  map_ = *map;
-  shards_.resize(map_.shards);
-  for (std::size_t k = 0; k < map_.shards; ++k) {
-    if (shards_[k].connected()) continue;
-    if (!shards_[k].connect(map_.endpoints[k])) {
-      error_ = shards_[k].error();
-      return false;
-    }
-  }
-  return true;
-}
-
 bool ShardClient::submit(const std::string& user, const trace::Event& event, std::uint64_t tag) {
   const std::size_t k = shard_of(user);
   SubmitPayload p;

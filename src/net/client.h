@@ -81,10 +81,6 @@ class ShardClient {
   /// every shard. False with error() set on failure.
   [[nodiscard]] bool connect(const Endpoint& supervisor);
 
-  /// Re-fetches the map and reconnects shards whose connection died
-  /// (after a shard crash + restart). False if the supervisor is gone.
-  [[nodiscard]] bool reconnect_dead_shards();
-
   [[nodiscard]] const ShardMap& map() const { return map_; }
   [[nodiscard]] Connection& supervisor() { return supervisor_; }
   [[nodiscard]] Connection& shard(std::size_t k) { return shards_[k]; }

@@ -1,12 +1,8 @@
 #include "net/stream.h"
 
-#include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#include "net/error.h"
 
 namespace locpriv::net {
 
@@ -52,73 +48,6 @@ bool read_exact(int fd, void* buf, std::size_t n, int* err) {
     n -= static_cast<std::size_t>(got);
   }
   return true;
-}
-
-OStream::OStream(int fd, std::size_t buffer_size) : fd_(fd), buf_(std::max<std::size_t>(buffer_size, 64)) {}
-
-bool OStream::write(const void* data, std::size_t n) {
-  if (!good()) return false;
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    if (len_ == buf_.size() && !flush()) return false;
-    const std::size_t room = buf_.size() - len_;
-    const std::size_t take = std::min(room, n);
-    std::memcpy(buf_.data() + len_, p, take);
-    len_ += take;
-    p += take;
-    n -= take;
-  }
-  return true;
-}
-
-bool OStream::flush() {
-  if (!good()) return false;
-  int err = 0;
-  if (!write_all(fd_, buf_.data(), len_, &err)) {
-    err_ = err;
-    return false;
-  }
-  len_ = 0;
-  return true;
-}
-
-std::string OStream::error_message(const char* what) const {
-  if (good()) return std::string(what) + ": no error";
-  return errno_message(what, err_);
-}
-
-IStream::IStream(int fd, std::size_t buffer_size) : fd_(fd), buf_(std::max<std::size_t>(buffer_size, 64)) {}
-
-bool IStream::read_exact(void* out, std::size_t n) {
-  if (err_ != -1 || eof_) return false;
-  char* p = static_cast<char*>(out);
-  while (n > 0) {
-    if (pos_ == len_) {
-      const ssize_t got = read_some(fd_, buf_.data(), buf_.size());
-      if (got < 0) {
-        err_ = errno;
-        return false;
-      }
-      if (got == 0) {
-        eof_ = true;
-        return false;
-      }
-      pos_ = 0;
-      len_ = static_cast<std::size_t>(got);
-    }
-    const std::size_t take = std::min(len_ - pos_, n);
-    std::memcpy(p, buf_.data() + pos_, take);
-    pos_ += take;
-    p += take;
-    n -= take;
-  }
-  return true;
-}
-
-std::string IStream::error_message(const char* what) const {
-  if (eof_) return std::string(what) + ": unexpected end of stream";
-  if (err_ == -1) return std::string(what) + ": no error";
-  return errno_message(what, err_);
 }
 
 }  // namespace locpriv::net

@@ -34,7 +34,7 @@ class AdaptiveGeoIndSession final : public lppm::StreamSession {
 
   [[nodiscard]] std::optional<trace::Event> report(const trace::Event& e) override;
 
-  [[nodiscard]] const lppm::GeoIndBudget& budget_state() const { return budget_; }
+  [[nodiscard]] const lppm::GeoIndBudget* budget() const override { return &budget_; }
   [[nodiscard]] const PrivacyController& controller() const { return controller_; }
   [[nodiscard]] double epsilon() const { return controller_.epsilon(); }
   [[nodiscard]] std::size_t suppressed_count() const { return suppressed_; }

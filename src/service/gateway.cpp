@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "io/json.h"
 #include "lppm/grid_cloaking.h"
 #include "metrics/registry.h"
 #include "obs/tracer.h"
@@ -13,17 +14,6 @@
 #include "stats/rng.h"
 
 namespace locpriv::service {
-
-const char* to_string(ReportStatus s) {
-  switch (s) {
-    case ReportStatus::delivered: return "delivered";
-    case ReportStatus::suppressed_budget: return "suppressed_budget";
-    case ReportStatus::rejected_queue_full: return "rejected_queue_full";
-    case ReportStatus::degraded_suppressed: return "degraded_suppressed";
-    case ReportStatus::degraded_fallback: return "degraded_fallback";
-  }
-  return "unknown";
-}
 
 std::uint64_t user_seed(std::uint64_t root_seed, std::string_view user_id) {
   return stats::derive_seed(root_seed, stable_hash64(user_id));
@@ -35,7 +25,7 @@ namespace {
 // seed space when fault_seed is derived from the root seed.
 constexpr std::uint64_t kFaultSeedStream = 0xFA177ULL;
 
-SessionManager::SessionFactory default_factory(const GatewayConfig& cfg) {
+SessionManager::SessionFactory static_factory(const GatewayConfig& cfg) {
   const double epsilon = cfg.epsilon;
   const double budget_eps = cfg.budget_eps;
   const trace::Timestamp window = cfg.budget_window_s;
@@ -73,6 +63,13 @@ SessionManager::SessionFactory adaptive_factory(const GatewayConfig& cfg,
   };
 }
 
+// The configured default: static budgeted Geo-I, or the closed loop
+// when objectives are set.
+SessionManager::SessionFactory default_factory(const GatewayConfig& cfg,
+                                               adaptive::ControlLog* log) {
+  return cfg.objectives.has_value() ? adaptive_factory(cfg, log) : static_factory(cfg);
+}
+
 // Worker stalls sleep for real (when enabled) but never beyond a cap, so
 // a hostile spec cannot wedge a worker.
 void stall_sleep(bool enabled, std::uint32_t us) {
@@ -82,6 +79,28 @@ void stall_sleep(bool enabled, std::uint32_t us) {
 }
 
 }  // namespace
+
+GatewayConfig apply_reload_spec(GatewayConfig cfg, const std::string& spec_json) {
+  if (spec_json.empty()) return cfg;
+  const io::JsonValue spec = io::parse_json(spec_json);
+  if (spec.contains("faults")) {
+    const std::string& faults = spec.at("faults").as_string();
+    cfg.faults = faults.empty() ? FaultSpec{} : parse_fault_spec(faults);
+  }
+  if (spec.contains("objectives")) {
+    const std::string& objectives = spec.at("objectives").as_string();
+    if (objectives.empty()) {
+      cfg.objectives.reset();
+    } else {
+      cfg.objectives = adaptive::parse_objective_spec(objectives);
+      // Building the closed-loop factory validates the spec and resolves
+      // its metric names: a reload naming an unknown metric is refused
+      // here, not thrown out of Gateway::reload inside a shard.
+      (void)adaptive_factory(cfg, nullptr);
+    }
+  }
+  return cfg;
+}
 
 Gateway::Gateway(const GatewayConfig& cfg, Sink sink)
     : Gateway(cfg, SessionManager::SessionFactory{}, std::move(sink)) {}
@@ -95,23 +114,24 @@ Gateway::Gateway(const GatewayConfig& cfg, SessionManager::SessionFactory factor
   // signal.
   telemetry_ = std::make_unique<Telemetry>(cfg.budget_eps * 1.05);
   if (cfg_.objectives.has_value()) control_log_ = std::make_unique<adaptive::ControlLog>();
-  // An empty factory means "the configured default": static budgeted
-  // Geo-I, or the closed loop when objectives are set. A caller-
-  // supplied factory always wins (objectives then only allocate the —
-  // unused — control log).
-  if (!factory) {
-    factory = cfg_.objectives.has_value() ? adaptive_factory(cfg_, control_log_.get())
-                                          : default_factory(cfg_);
-  }
+  // An empty factory means the configured default. A caller-supplied
+  // factory always wins (objectives then only allocate the — unused —
+  // control log).
+  if (!factory) factory = default_factory(cfg_, control_log_.get());
   sessions_ = std::make_unique<SessionManager>(cfg.sessions, std::move(factory), telemetry_.get());
+  start_workers();
+}
+
+void Gateway::start_workers() {
+  plan_.reset();
   if (cfg_.faults.any()) {
     const std::uint64_t fault_seed =
         cfg_.fault_seed != 0 ? cfg_.fault_seed : stats::derive_seed(cfg_.seed, kFaultSeedStream);
     plan_ = std::make_unique<FaultPlan>(cfg_.faults, fault_seed);
   }
-  breakers_.assign(cfg.workers, CircuitBreaker(cfg_.resilience.breaker));
+  breakers_.assign(cfg_.workers, CircuitBreaker(cfg_.resilience.breaker));
   pool_ = std::make_unique<WorkerPool>(
-      cfg.workers, cfg.queue_capacity,
+      cfg_.workers, cfg_.queue_capacity,
       [this](std::size_t worker, const Request& r) { handle(worker, r); });
 }
 
@@ -119,10 +139,7 @@ Gateway::~Gateway() { drain(); }
 
 bool Gateway::submit(const std::string& user_id, const trace::Event& event, std::uint64_t cookie) {
   obs::Span submit_span("service", "gateway.submit");
-  static obs::Counter submitted_counter("service.submitted");
-  static obs::Counter rejected_counter("service.rejected_queue_full");
-  submitted_counter.add();
-  telemetry_->record_received();
+  telemetry_->add(Count::received);
   Request r;
   r.user_id = user_id;
   r.event = event;
@@ -135,13 +152,12 @@ bool Gateway::submit(const std::string& user_id, const trace::Event& event, std:
   // rejection exercising the same degradation path a real overflow
   // takes, without depending on queue timing.
   const bool burst = plan_ != nullptr && plan_->burst_reject(r.seq);
-  if (burst) telemetry_->record_injected_burst_reject();
+  if (burst) telemetry_->add(Count::injected_burst_rejects);
   if (!burst && pool_->submit(std::move(r))) return true;
 
   // Backpressure: degrade gracefully by answering with a suppression
   // right here instead of queueing without bound.
-  rejected_counter.add();
-  telemetry_->record_rejected_queue_full();
+  telemetry_->add(Count::rejected_queue_full);
   ProtectedReport out;
   out.user_id = user_id;
   out.seq = r.seq;
@@ -169,23 +185,12 @@ void Gateway::reload(const GatewayConfig& next, SessionManager::SessionFactory f
     control_log = std::make_unique<adaptive::ControlLog>();
   }
   adaptive::ControlLog* log = control_log_ != nullptr ? control_log_.get() : control_log.get();
-  if (!factory) {
-    factory = cfg.objectives.has_value() ? adaptive_factory(cfg, log) : default_factory(cfg);
-  }
+  if (!factory) factory = default_factory(cfg, log);
 
   cfg_ = cfg;
   if (control_log != nullptr) control_log_ = std::move(control_log);
   sessions_->set_factory(std::move(factory));
-  plan_.reset();
-  if (cfg_.faults.any()) {
-    const std::uint64_t fault_seed =
-        cfg_.fault_seed != 0 ? cfg_.fault_seed : stats::derive_seed(cfg_.seed, kFaultSeedStream);
-    plan_ = std::make_unique<FaultPlan>(cfg_.faults, fault_seed);
-  }
-  breakers_.assign(cfg_.workers, CircuitBreaker(cfg_.resilience.breaker));
-  pool_ = std::make_unique<WorkerPool>(
-      cfg_.workers, cfg_.queue_capacity,
-      [this](std::size_t worker, const Request& r) { handle(worker, r); });
+  start_workers();
 }
 
 void Gateway::handle(std::size_t worker, const Request& r) {
@@ -208,11 +213,11 @@ void Gateway::handle(std::size_t worker, const Request& r) {
   trace::Event event = r.event;
   if (plan_ != nullptr) {
     if (const std::uint32_t stall = plan_->stall_us(uhash, r.seq); stall > 0) {
-      telemetry_->record_worker_stall();
+      telemetry_->add(Count::worker_stalls);
       stall_sleep(cfg_.resilience.sleep_for_real, stall);
     }
     if (const trace::Timestamp skew = plan_->clock_skew_s(uhash, r.seq); skew != 0) {
-      telemetry_->record_clock_skew();
+      telemetry_->add(Count::clock_skews);
       event.time = std::max<trace::Timestamp>(0, event.time + skew);
     }
   }
@@ -227,17 +232,13 @@ void Gateway::handle(std::size_t worker, const Request& r) {
     // session manager: budget accounting requires monotone time, and a
     // bad timestamp must degrade, not kill the worker.
     if (locked.time_clamped()) {
-      telemetry_->record_timestamp_clamped();
+      telemetry_->add(Count::timestamps_clamped);
       event.time = locked.monotonic_time();
     }
     protected_event = locked.session().report(event);
     if (protected_event.has_value()) {
-      if (const auto* budgeted =
-              dynamic_cast<const lppm::BudgetedGeoIndSession*>(&locked.session())) {
-        eps_spent = budgeted->budget_state().spent(event.time);
-      } else if (const auto* adapted =
-                     dynamic_cast<const adaptive::AdaptiveGeoIndSession*>(&locked.session())) {
-        eps_spent = adapted->budget_state().spent(event.time);
+      if (const lppm::GeoIndBudget* budget = locked.session().budget(); budget != nullptr) {
+        eps_spent = budget->spent(event.time);
       }
     }
   }
@@ -273,22 +274,7 @@ void Gateway::handle(std::size_t worker, const Request& r) {
   const double latency_us =
       std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(t1 - t0).count();
 
-  switch (status) {
-    case ReportStatus::delivered:
-      telemetry_->record_delivered(latency_us, eps_spent);
-      break;
-    case ReportStatus::suppressed_budget:
-      telemetry_->record_suppressed(latency_us);
-      break;
-    case ReportStatus::degraded_suppressed:
-      telemetry_->record_degraded_suppressed(latency_us);
-      break;
-    case ReportStatus::degraded_fallback:
-      telemetry_->record_degraded_fallback(latency_us, eps_spent);
-      break;
-    case ReportStatus::rejected_queue_full:
-      break;  // unreachable: rejections are answered in submit()
-  }
+  telemetry_->record_answer(status, latency_us, eps_spent);
 
   ProtectedReport out;
   out.user_id = r.user_id;

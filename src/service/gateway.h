@@ -37,20 +37,6 @@ namespace adaptive {
 class ControlLog;
 }  // namespace adaptive
 
-/// Why a report came back the way it did.
-enum class ReportStatus {
-  delivered,            ///< protected event attached
-  suppressed_budget,    ///< session returned nothing (for the default
-                        ///< factory: ε window exhausted; a custom
-                        ///< dropout session lands here too)
-  rejected_queue_full,  ///< backpressure: never reached a session
-  degraded_suppressed,  ///< downstream call gave up; report dropped
-  degraded_fallback,    ///< downstream call gave up; answered with a
-                        ///< coarse grid-cloaked point instead
-};
-
-[[nodiscard]] const char* to_string(ReportStatus s);
-
 /// The gateway's answer to one submitted report.
 struct ProtectedReport {
   std::string user_id;
@@ -102,6 +88,14 @@ struct GatewayConfig {
   /// classic static deployment.
   std::optional<adaptive::ObjectiveSpec> objectives;
 };
+
+/// Applies a reload spec — JSON text {"faults": "<spec>", "objectives":
+/// "<spec>"} — to `cfg` and returns the result: an absent key keeps the
+/// current value, an empty string clears it, and empty text changes
+/// nothing. Throws (std::invalid_argument, or the JSON parser's error)
+/// on a malformed or invalid spec. Every reload path (a shard's kReload,
+/// the supervisor's kReload and SIGHUP) goes through this one parser.
+[[nodiscard]] GatewayConfig apply_reload_spec(GatewayConfig cfg, const std::string& spec_json);
 
 /// Deterministic per-user session seed used by the default factory.
 [[nodiscard]] std::uint64_t user_seed(std::uint64_t root_seed, std::string_view user_id);
@@ -161,6 +155,9 @@ class Gateway {
 
  private:
   void handle(std::size_t worker, const Request& r);
+  /// (Re)builds what cfg_ fixes per run: the fault plan, one breaker
+  /// per worker, and the worker pool.
+  void start_workers();
 
   GatewayConfig cfg_;
   Sink sink_;

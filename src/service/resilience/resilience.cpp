@@ -58,7 +58,7 @@ DownstreamCallResult resilient_downstream_call(const ResilienceConfig& cfg, cons
   for (std::uint32_t attempt = 0;; ++attempt) {
     if (breaker != nullptr && !breaker->allow(stream_now)) {
       result.short_circuited = true;
-      if (telemetry != nullptr) telemetry->record_breaker_short_circuit();
+      if (telemetry != nullptr) telemetry->add(Count::breaker_short_circuits);
       return result;
     }
 
@@ -68,7 +68,7 @@ DownstreamCallResult resilient_downstream_call(const ResilienceConfig& cfg, cons
         static_cast<std::uint64_t>(base_latency.count()) + outcome.latency_us;
     result.virtual_elapsed_us += latency_us;
     ++result.attempts;
-    if (telemetry != nullptr) telemetry->record_downstream_attempt();
+    if (telemetry != nullptr) telemetry->add(Count::downstream_attempts);
     maybe_sleep(cfg.sleep_for_real, latency_us);
 
     if (!outcome.failed) {
@@ -77,14 +77,14 @@ DownstreamCallResult resilient_downstream_call(const ResilienceConfig& cfg, cons
       return result;
     }
 
-    if (telemetry != nullptr) telemetry->record_downstream_failure();
+    if (telemetry != nullptr) telemetry->add(Count::downstream_failures);
     if (breaker != nullptr && breaker->on_failure(stream_now) && telemetry != nullptr) {
-      telemetry->record_breaker_trip();
+      telemetry->add(Count::breaker_trips);
     }
     if (attempt >= max_retries) return result;
     if (cfg.deadline_us > 0 && result.virtual_elapsed_us >= cfg.deadline_us) {
       result.deadline_exceeded = true;
-      if (telemetry != nullptr) telemetry->record_deadline_exceeded();
+      if (telemetry != nullptr) telemetry->add(Count::deadline_exceeded);
       return result;
     }
 
@@ -92,7 +92,7 @@ DownstreamCallResult resilient_downstream_call(const ResilienceConfig& cfg, cons
     result.virtual_elapsed_us += delay_us;
     if (cfg.deadline_us > 0 && result.virtual_elapsed_us >= cfg.deadline_us) {
       result.deadline_exceeded = true;
-      if (telemetry != nullptr) telemetry->record_deadline_exceeded();
+      if (telemetry != nullptr) telemetry->add(Count::deadline_exceeded);
       return result;
     }
     if (telemetry != nullptr) telemetry->record_retry(delay_us);

@@ -38,14 +38,14 @@ void SessionManager::evict_due(Shard& shard, trace::Timestamp now) {
       if (it->second.last_active + cfg_.idle_timeout_s > now) break;
       shard.lru.pop_back();
       shard.sessions.erase(it);
-      if (telemetry_ != nullptr) telemetry_->record_session_evicted_idle();
+      if (telemetry_ != nullptr) telemetry_->add(Count::sessions_evicted_idle);
     }
   }
   if (cfg_.max_sessions_per_shard > 0) {
     while (shard.sessions.size() > cfg_.max_sessions_per_shard) {
       shard.sessions.erase(shard.lru.back());
       shard.lru.pop_back();
-      if (telemetry_ != nullptr) telemetry_->record_session_evicted_lru();
+      if (telemetry_ != nullptr) telemetry_->add(Count::sessions_evicted_lru);
     }
   }
 }
@@ -65,7 +65,7 @@ SessionManager::LockedSession SessionManager::acquire(const std::string& user_id
     shard.lru.push_front(user_id);
     entry.lru_pos = shard.lru.begin();
     it = shard.sessions.emplace(user_id, std::move(entry)).first;
-    if (telemetry_ != nullptr) telemetry_->record_session_created();
+    if (telemetry_ != nullptr) telemetry_->add(Count::sessions_created);
   } else if (it->second.lru_pos != shard.lru.begin()) {
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
   }

@@ -7,8 +7,6 @@
 #include "io/json.h"
 #include "net/error.h"
 #include "net/stream.h"
-#include "service/adaptive/objective.h"
-#include "service/resilience/fault_plan.h"
 #include "trace/store_io.h"
 
 namespace locpriv::service::shard {
@@ -261,8 +259,8 @@ void ShardServer::handle_drain(Conn& conn) {
   io::JsonObject reply;
   reply["shard"] = cfg_.shard_index;
   const TelemetrySnapshot snap = gateway_->telemetry().snapshot();
-  reply["received"] = static_cast<double>(snap.received);
-  reply["delivered"] = static_cast<double>(snap.delivered);
+  reply["received"] = static_cast<double>(snap[Count::received]);
+  reply["delivered"] = static_cast<double>(snap[Count::delivered]);
   const auto requester = conns_.find(drain_requester_);
   if (requester != conns_.end()) {
     // Answers were queued before this reply, so the requester sees every
@@ -278,25 +276,10 @@ void ShardServer::finish_drain() {
 }
 
 void ShardServer::handle_reload(Conn& conn, const net::Frame& frame) {
-  const std::string text(frame.payload.begin(), frame.payload.end());
-  GatewayConfig next = cfg_.gateway;
+  GatewayConfig next;
   try {
-    if (!text.empty()) {
-      const io::JsonValue spec = io::parse_json(text);
-      if (spec.contains("faults")) {
-        const std::string& fault_spec = spec.at("faults").as_string();
-        next.faults = fault_spec.empty() ? FaultSpec{} : parse_fault_spec(fault_spec);
-      }
-      if (spec.contains("objectives")) {
-        const std::string& objective_spec = spec.at("objectives").as_string();
-        if (objective_spec.empty()) {
-          next.objectives.reset();
-        } else {
-          next.objectives = adaptive::parse_objective_spec(objective_spec);
-          next.objectives->validate();
-        }
-      }
-    }
+    next = apply_reload_spec(cfg_.gateway,
+                             std::string(frame.payload.begin(), frame.payload.end()));
   } catch (const std::exception& e) {
     send(conn, net::FrameType::kError, std::string("reload rejected: ") + e.what());
     flush(conn);

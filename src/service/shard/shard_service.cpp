@@ -23,11 +23,12 @@ namespace {
 constexpr int kWatchedSignals[] = {SIGTERM, SIGINT, SIGHUP, SIGCHLD};
 
 /// Sums one counter across per-shard telemetry objects.
-double sum_counter(const std::vector<io::JsonValue>& shards, const char* key) {
+double sum_count(const std::vector<io::JsonValue>& shards, const CountSpec& spec) {
+  const char* block = home_block(spec.block);
   double total = 0.0;
   for (const auto& s : shards) {
-    if (s.is_object() && s.contains("counters") && s.at("counters").contains(key)) {
-      total += s.at("counters").at(key).as_number();
+    if (s.is_object() && s.contains(block) && s.at(block).contains(spec.name)) {
+      total += s.at(block).at(spec.name).as_number();
     }
   }
   return total;
@@ -190,33 +191,34 @@ void ShardService::handle_signals() {
 }
 
 void ShardService::reload_from_file() {
-  std::string faults_spec;
-  std::string objectives_spec;
+  std::string spec;
   if (!cfg_.reload_file.empty()) {
     try {
-      const io::JsonValue spec = io::read_json_file(cfg_.reload_file);
-      if (spec.contains("faults")) faults_spec = spec.at("faults").as_string();
-      if (spec.contains("objectives")) objectives_spec = spec.at("objectives").as_string();
+      spec = io::to_json(io::read_json_file(cfg_.reload_file));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "supervisor: reload file: %s\n", e.what());
       return;
     }
   }
-  if (!reload(faults_spec, objectives_spec)) {
+  if (!reload(spec)) {
     std::fprintf(stderr, "supervisor: reload failed: %s\n", error_.c_str());
   }
 }
 
-bool ShardService::reload(const std::string& faults_spec, const std::string& objectives_spec) {
-  io::JsonObject spec;
-  if (!faults_spec.empty()) spec["faults"] = faults_spec;
-  if (!objectives_spec.empty()) spec["objectives"] = objectives_spec;
-  const std::string payload = io::to_json(io::JsonValue(std::move(spec)));
+bool ShardService::reload(const std::string& spec_json) {
+  // Validate once, up front: an invalid spec reaches no shard. The
+  // result is the policy a re-forked shard starts with.
+  try {
+    cfg_.gateway = apply_reload_spec(cfg_.gateway, spec_json);
+  } catch (const std::exception& e) {
+    error_ = std::string("reload rejected: ") + e.what();
+    return false;
+  }
   bool ok = true;
   for (std::size_t k = 0; k < procs_.size(); ++k) {
     if (procs_[k].pid < 0) continue;
     std::string reply;
-    if (!procs_[k].control.request(net::FrameType::kReload, payload,
+    if (!procs_[k].control.request(net::FrameType::kReload, spec_json,
                                    net::FrameType::kReloadReply, reply)) {
       error_ = "shard " + std::to_string(k) + ": " + procs_[k].control.error();
       ok = false;
@@ -268,10 +270,7 @@ std::string ShardService::aggregate_telemetry() {
   }
 
   io::JsonObject aggregate;
-  for (const char* key : {"received", "delivered", "suppressed_budget", "rejected_queue_full",
-                          "degraded_suppressed", "degraded_fallback", "sessions_created"}) {
-    aggregate[key] = sum_counter(shard_reports, key);
-  }
+  for (const CountSpec& spec : kCountTable) aggregate[spec.name] = sum_count(shard_reports, spec);
   io::JsonArray rss;
   for (const auto& s : shard_reports) {
     if (s.is_object() && s.contains("process")) {
@@ -372,20 +371,7 @@ void ShardService::dispatch(ClientConn& conn, const net::Frame& frame) {
       break;
     }
     case net::FrameType::kReload: {
-      std::string faults_spec;
-      std::string objectives_spec;
-      try {
-        const std::string text(frame.payload.begin(), frame.payload.end());
-        if (!text.empty()) {
-          const io::JsonValue spec = io::parse_json(text);
-          if (spec.contains("faults")) faults_spec = spec.at("faults").as_string();
-          if (spec.contains("objectives")) objectives_spec = spec.at("objectives").as_string();
-        }
-      } catch (const std::exception& e) {
-        send(conn, net::FrameType::kError, std::string("reload rejected: ") + e.what());
-        break;
-      }
-      if (reload(faults_spec, objectives_spec)) {
+      if (reload(std::string(frame.payload.begin(), frame.payload.end()))) {
         io::JsonObject reply;
         reply["shards"] = cfg_.shards;
         send(conn, net::FrameType::kReloadReply, io::to_json(io::JsonValue(std::move(reply))));

@@ -73,11 +73,13 @@ class ShardService {
   /// children and stops the loop. Idempotent.
   void drain();
 
-  /// Pushes a reload into every live shard. Either spec may be empty =
-  /// keep current. False if any shard rejected it (error() has why).
-  [[nodiscard]] bool reload(const std::string& faults_spec, const std::string& objectives_spec);
+  /// Validates a reload spec (apply_reload_spec grammar), keeps the
+  /// result for shards forked later, and pushes it into every live
+  /// shard. False if the spec is invalid (no shard sees it) or a shard
+  /// failed to apply it; error() has why.
+  [[nodiscard]] bool reload(const std::string& spec_json);
 
-  /// Aggregated telemetry: per-shard reports plus summed counters.
+  /// Aggregated telemetry: per-shard reports plus every counter summed.
   [[nodiscard]] std::string aggregate_telemetry();
 
   [[nodiscard]] net::ShardMap shard_map() const;

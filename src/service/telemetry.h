@@ -1,16 +1,21 @@
-// Live observability of the serving gateway: lock-free counters for the
-// hot path, mutex-guarded histograms for distributions, and a JSON
-// snapshot for dashboards / offline analysis.
+// Live observability of the serving gateway: one table of lock-free
+// counters for the hot path, mutex-guarded histograms for
+// distributions, and a JSON snapshot for dashboards / offline analysis.
 //
-// Counters are plain relaxed atomics — every worker bumps them on every
-// report, so they must never contend. The two histograms (service
-// latency, per-user ε spend at delivery time) take a short mutex; an
-// add into a fixed-bin stats::Histogram is a handful of instructions,
-// so the critical section is far cheaper than the Laplace sampling it
-// measures.
+// Every counter is one `Count` and one row of kCountTable, which gives
+// its JSON key and block. Storage, snapshot, to_json() and the shard
+// supervisor's aggregate all loop over the table, so a counter is named
+// exactly once. Counters are plain relaxed atomics — every worker bumps
+// them on every report, so they must never contend. The three
+// histograms (service latency, per-user ε spend at delivery time, retry
+// backoff) share one short mutex; an add into a fixed-bin
+// stats::Histogram is a handful of instructions, so the critical
+// section is far cheaper than the Laplace sampling it measures.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 
@@ -19,47 +24,128 @@
 
 namespace locpriv::service {
 
+/// Why a report came back the way it did.
+enum class ReportStatus {
+  delivered,            ///< protected event attached
+  suppressed_budget,    ///< session returned nothing (for the default
+                        ///< factory: ε window exhausted; a custom
+                        ///< dropout session lands here too)
+  rejected_queue_full,  ///< backpressure: never reached a session
+  degraded_suppressed,  ///< downstream call gave up; report dropped
+  degraded_fallback,    ///< downstream call gave up; answered with a
+                        ///< coarse grid-cloaked point instead
+};
+
+/// Every serving counter. The first five mirror ReportStatus in its
+/// order, so an answer of status s bumps Count(s).
+///
+/// After a drain, received = delivered + suppressed_budget +
+/// rejected_queue_full + degraded_suppressed + degraded_fallback,
+/// downstream_retries = downstream_attempts - calls, and
+/// injected_burst_rejects <= rejected_queue_full.
+enum class Count : std::size_t {
+  delivered,
+  suppressed_budget,    ///< ε window exhausted
+  rejected_queue_full,  ///< backpressure suppression
+  degraded_suppressed,  ///< downstream gave up, report dropped
+  degraded_fallback,    ///< answered with a grid-cloaked point
+  received,
+  sessions_created,
+  sessions_evicted_idle,
+  sessions_evicted_lru,
+  downstream_attempts,
+  downstream_failures,
+  downstream_retries,
+  breaker_trips,
+  breaker_short_circuits,
+  deadline_exceeded,
+  injected_burst_rejects,
+  worker_stalls,
+  clock_skews,
+  timestamps_clamped,  ///< backwards client clocks sanitized
+};
+inline constexpr std::size_t kNumCounts = 19;
+
+/// The top-level JSON block(s) that list a counter.
+enum class Block { counters, resilience, both };
+
+struct CountSpec {
+  Count count;
+  const char* name;  ///< JSON key in every block that lists it
+  Block block;
+};
+
+inline constexpr std::array<CountSpec, kNumCounts> kCountTable{{
+    {Count::delivered, "delivered", Block::counters},
+    {Count::suppressed_budget, "suppressed_budget", Block::counters},
+    {Count::rejected_queue_full, "rejected_queue_full", Block::counters},
+    {Count::degraded_suppressed, "degraded_suppressed", Block::both},
+    {Count::degraded_fallback, "degraded_fallback", Block::both},
+    {Count::received, "received", Block::counters},
+    {Count::sessions_created, "sessions_created", Block::counters},
+    {Count::sessions_evicted_idle, "sessions_evicted_idle", Block::counters},
+    {Count::sessions_evicted_lru, "sessions_evicted_lru", Block::counters},
+    {Count::downstream_attempts, "downstream_attempts", Block::resilience},
+    {Count::downstream_failures, "downstream_failures", Block::resilience},
+    {Count::downstream_retries, "downstream_retries", Block::resilience},
+    {Count::breaker_trips, "breaker_trips", Block::resilience},
+    {Count::breaker_short_circuits, "breaker_short_circuits", Block::resilience},
+    {Count::deadline_exceeded, "deadline_exceeded", Block::resilience},
+    {Count::injected_burst_rejects, "injected_burst_rejects", Block::resilience},
+    {Count::worker_stalls, "worker_stalls", Block::resilience},
+    {Count::clock_skews, "clock_skews", Block::resilience},
+    {Count::timestamps_clamped, "timestamps_clamped", Block::resilience},
+}};
+
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kNumCounts; ++i) {
+        if (kCountTable[i].count != static_cast<Count>(i)) return false;
+      }
+      const auto mirrors = [](ReportStatus s, Count c) {
+        return static_cast<std::size_t>(s) == static_cast<std::size_t>(c);
+      };
+      return mirrors(ReportStatus::delivered, Count::delivered) &&
+             mirrors(ReportStatus::suppressed_budget, Count::suppressed_budget) &&
+             mirrors(ReportStatus::rejected_queue_full, Count::rejected_queue_full) &&
+             mirrors(ReportStatus::degraded_suppressed, Count::degraded_suppressed) &&
+             mirrors(ReportStatus::degraded_fallback, Count::degraded_fallback);
+    }(),
+    "kCountTable rows follow Count, whose first rows follow ReportStatus");
+
+/// JSON block names (see docs/SERVICE.md).
+inline constexpr const char* kCountersBlock = "counters";
+inline constexpr const char* kResilienceBlock = "resilience";
+
+/// The block a counter is read back from: `counters` when it is listed
+/// in both.
+[[nodiscard]] constexpr const char* home_block(Block b) {
+  return b == Block::resilience ? kResilienceBlock : kCountersBlock;
+}
+
+/// The status's name — its counter's JSON key.
+[[nodiscard]] const char* to_string(ReportStatus s);
+
 /// Point-in-time copy of every gauge the gateway exposes. Plain values —
 /// safe to hold, print or serialize after the gateway is gone.
 struct TelemetrySnapshot {
-  // Counters. received = delivered + suppressed_budget + rejected_queue_full
-  // once the gateway has drained.
-  std::uint64_t received = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t suppressed_budget = 0;    ///< ε window exhausted
-  std::uint64_t rejected_queue_full = 0;  ///< backpressure suppression
-  std::uint64_t sessions_created = 0;
-  std::uint64_t sessions_evicted_idle = 0;
-  std::uint64_t sessions_evicted_lru = 0;
+  std::array<std::uint64_t, kNumCounts> counts{};
+  [[nodiscard]] std::uint64_t operator[](Count c) const {
+    return counts[static_cast<std::size_t>(c)];
+  }
 
-  // Service-time distribution (µs, measured around the protection call).
+  // Service-time distribution (µs, measured around the protection call)
+  // of every answer a worker gave: delivered, suppressed and degraded.
   std::uint64_t latency_count = 0;
   double latency_p50_us = 0.0;
   double latency_p95_us = 0.0;
   double latency_p99_us = 0.0;
 
-  // ε spent inside the sliding window, sampled at each delivery.
+  // ε spent inside the sliding window, sampled at each delivered or
+  // fallback answer.
   std::uint64_t eps_count = 0;
   double eps_p50 = 0.0;
   double eps_max_seen = 0.0;
-
-  // Resilience: the downstream call loop and fault injection. After a
-  // drain, received = delivered + suppressed_budget + rejected_queue_full
-  //                 + degraded_suppressed + degraded_fallback,
-  // downstream_retries = downstream_attempts - calls, and
-  // injected_burst_rejects <= rejected_queue_full.
-  std::uint64_t downstream_attempts = 0;
-  std::uint64_t downstream_failures = 0;
-  std::uint64_t downstream_retries = 0;
-  std::uint64_t breaker_trips = 0;
-  std::uint64_t breaker_short_circuits = 0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t degraded_suppressed = 0;  ///< downstream gave up, report dropped
-  std::uint64_t degraded_fallback = 0;    ///< answered with a grid-cloaked point
-  std::uint64_t injected_burst_rejects = 0;
-  std::uint64_t worker_stalls = 0;
-  std::uint64_t clock_skews = 0;
-  std::uint64_t timestamps_clamped = 0;  ///< backwards client clocks sanitized
 
   // Backoff delays issued before retries (µs).
   std::uint64_t backoff_count = 0;
@@ -67,8 +153,8 @@ struct TelemetrySnapshot {
   double backoff_p95_us = 0.0;
 };
 
-/// Shared telemetry sink. All record_* methods are thread-safe and are
-/// called concurrently by every worker plus the submitting thread.
+/// Shared telemetry sink. Every method is thread-safe; they are called
+/// concurrently by every worker plus the submitting thread.
 class Telemetry {
  public:
   /// `eps_hi` bounds the ε-spend histogram (latency tops out at 50 ms,
@@ -76,53 +162,19 @@ class Telemetry {
   /// and saturate the quantiles at it.
   explicit Telemetry(double eps_hi = 1.0);
 
-  void record_received() { received_.fetch_add(1, std::memory_order_relaxed); }
-  void record_rejected_queue_full() {
-    rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
+  void add(Count c) {
+    counts_[static_cast<std::size_t>(c)].fetch_add(1, std::memory_order_relaxed);
   }
-  void record_session_created() { sessions_created_.fetch_add(1, std::memory_order_relaxed); }
-  void record_session_evicted_idle() { evicted_idle_.fetch_add(1, std::memory_order_relaxed); }
-  void record_session_evicted_lru() { evicted_lru_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// A report the session answered. `eps_spent_window` is the budget
-  /// spend after this delivery (NaN when the session has no budget).
-  void record_delivered(double latency_us, double eps_spent_window);
-  /// A report the session suppressed (budget exhausted).
-  void record_suppressed(double latency_us);
+  /// A report a worker answered (every status but rejected_queue_full,
+  /// which submit() answers without a service time). Counts `outcome`,
+  /// samples the latency and, for delivered and fallback answers, the
+  /// window ε spend after this report (NaN when the session has no
+  /// budget).
+  void record_answer(ReportStatus outcome, double latency_us, double eps_spent_window);
 
-  // Resilience events (see resilience/resilience.h for the call loop).
-  void record_downstream_attempt() {
-    downstream_attempts_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_downstream_failure() {
-    downstream_failures_.fetch_add(1, std::memory_order_relaxed);
-  }
   /// A retry was scheduled after `backoff_us` of (virtual) delay.
   void record_retry(double backoff_us);
-  void record_breaker_trip() { breaker_trips_.fetch_add(1, std::memory_order_relaxed); }
-  void record_breaker_short_circuit() {
-    breaker_short_circuits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_deadline_exceeded() {
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Downstream gave up and the report was dropped (policy suppress /
-  /// retry exhaustion).
-  void record_degraded_suppressed(double latency_us);
-  /// Downstream gave up and the report was answered with a coarse
-  /// grid-cloaked point. ε was spent at protection time, so the spend
-  /// is still sampled (NaN when the session has no budget).
-  void record_degraded_fallback(double latency_us, double eps_spent_window);
-  void record_injected_burst_reject() {
-    injected_burst_rejects_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_worker_stall() { worker_stalls_.fetch_add(1, std::memory_order_relaxed); }
-  void record_clock_skew() { clock_skews_.fetch_add(1, std::memory_order_relaxed); }
-  /// A report's timestamp ran backwards and was clamped to the user's
-  /// previous report time before budget accounting.
-  void record_timestamp_clamped() {
-    timestamps_clamped_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   [[nodiscard]] TelemetrySnapshot snapshot() const;
 
@@ -133,33 +185,12 @@ class Telemetry {
   [[nodiscard]] io::JsonValue to_json() const;
 
  private:
-  std::atomic<std::uint64_t> received_{0};
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> suppressed_budget_{0};
-  std::atomic<std::uint64_t> rejected_queue_full_{0};
-  std::atomic<std::uint64_t> sessions_created_{0};
-  std::atomic<std::uint64_t> evicted_idle_{0};
-  std::atomic<std::uint64_t> evicted_lru_{0};
+  std::array<std::atomic<std::uint64_t>, kNumCounts> counts_{};
 
-  std::atomic<std::uint64_t> downstream_attempts_{0};
-  std::atomic<std::uint64_t> downstream_failures_{0};
-  std::atomic<std::uint64_t> downstream_retries_{0};
-  std::atomic<std::uint64_t> breaker_trips_{0};
-  std::atomic<std::uint64_t> breaker_short_circuits_{0};
-  std::atomic<std::uint64_t> deadline_exceeded_{0};
-  std::atomic<std::uint64_t> degraded_suppressed_{0};
-  std::atomic<std::uint64_t> degraded_fallback_{0};
-  std::atomic<std::uint64_t> injected_burst_rejects_{0};
-  std::atomic<std::uint64_t> worker_stalls_{0};
-  std::atomic<std::uint64_t> clock_skews_{0};
-  std::atomic<std::uint64_t> timestamps_clamped_{0};
-
-  mutable std::mutex latency_mutex_;
+  mutable std::mutex mutex_;  ///< guards everything below
   stats::Histogram latency_us_;
-  mutable std::mutex eps_mutex_;
   stats::Histogram eps_spend_;
   double eps_max_seen_ = 0.0;
-  mutable std::mutex backoff_mutex_;
   stats::Histogram backoff_us_;
 };
 

@@ -243,7 +243,7 @@ TEST(AdaptiveGeoIndSession, VariableSpendExhaustsTheBudgetWindow) {
   }
   EXPECT_EQ(delivered, 3u);  // 0.3 budget / 0.1 per report
   EXPECT_EQ(session.suppressed_count(), 2u);
-  EXPECT_NEAR(session.budget_state().spent(240), 0.3, 1e-12);
+  EXPECT_NEAR(session.budget()->spent(240), 0.3, 1e-12);
 }
 
 // ------------------------------------------------------ windowed audit

@@ -113,10 +113,12 @@ TEST(Gateway, EveryReportAnsweredExactlyOnceEvenUnderBackpressure) {
   }
   EXPECT_EQ(load.submitted, data.total_events());
   EXPECT_EQ(capture.total, load.submitted) << "some report was dropped or answered twice";
-  EXPECT_GT(snap.rejected_queue_full, 0u) << "tiny queue + slow workers must reject";
-  EXPECT_EQ(load.accepted + snap.rejected_queue_full, load.submitted);
-  EXPECT_EQ(snap.received, load.submitted);
-  EXPECT_EQ(snap.delivered + snap.suppressed_budget + snap.rejected_queue_full, snap.received);
+  EXPECT_GT(snap[Count::rejected_queue_full], 0u) << "tiny queue + slow workers must reject";
+  EXPECT_EQ(load.accepted + snap[Count::rejected_queue_full], load.submitted);
+  EXPECT_EQ(snap[Count::received], load.submitted);
+  EXPECT_EQ(
+      snap[Count::delivered] + snap[Count::suppressed_budget] + snap[Count::rejected_queue_full],
+      snap[Count::received]);
 }
 
 TEST(Gateway, PerUserOrderPreservedUnderManyWorkers) {
@@ -151,7 +153,7 @@ TEST(Gateway, BudgetNeverOverspentUnderManyWorkers) {
     snap = gateway.telemetry().snapshot();
   }
   // Reports arrive every 60 s, the window fits 10: suppression must occur.
-  EXPECT_GT(snap.suppressed_budget, 0u);
+  EXPECT_GT(snap[Count::suppressed_budget], 0u);
   for (const auto& [user, events] : delivered_by_user(capture)) {
     // Sliding-window check over the delivered timestamps: within any
     // window ending at a delivery, spend stays within the budget.
@@ -172,17 +174,36 @@ TEST(Gateway, BudgetNeverOverspentUnderManyWorkers) {
 TEST(Gateway, TelemetryJsonHasStableSchema) {
   const trace::Dataset data = testutil::two_stop_dataset(3);
   io::JsonValue json;
+  TelemetrySnapshot snap;
   {
     Gateway gateway(small_config(), [](const ProtectedReport&) {});
     replay_dataset(data, gateway);
+    gateway.drain();
     json = gateway.telemetry().to_json();
+    snap = gateway.telemetry().snapshot();
   }
   ASSERT_TRUE(json.is_object());
   const io::JsonValue& counters = json.at("counters");
   EXPECT_EQ(counters.at("received").as_number(), static_cast<double>(data.total_events()));
-  EXPECT_TRUE(counters.contains("delivered"));
-  EXPECT_TRUE(counters.contains("suppressed_budget"));
-  EXPECT_TRUE(counters.contains("rejected_queue_full"));
+  // Every counter is listed under its block(s) with its snapshot value.
+  for (const CountSpec& spec : kCountTable) {
+    SCOPED_TRACE(spec.name);
+    const double value = static_cast<double>(snap[spec.count]);
+    const bool in_counters = spec.block != Block::resilience;
+    const bool in_resilience = spec.block != Block::counters;
+    EXPECT_EQ(counters.contains(spec.name), in_counters);
+    EXPECT_EQ(json.at("resilience").contains(spec.name), in_resilience);
+    if (in_counters) {
+      EXPECT_EQ(counters.at(spec.name).as_number(), value);
+    }
+    if (in_resilience) {
+      EXPECT_EQ(json.at("resilience").at(spec.name).as_number(), value);
+    }
+  }
+  EXPECT_GT(snap[Count::sessions_created], 0u);
+  // The latency histogram samples every answer a worker gave.
+  EXPECT_EQ(json.at("latency").at("count").as_number(),
+            static_cast<double>(snap[Count::delivered] + snap[Count::suppressed_budget]));
   EXPECT_TRUE(json.at("latency").contains("p99_us"));
   EXPECT_TRUE(json.at("eps_spend").contains("max_seen"));
   // Round-trips through the writer/parser.
@@ -208,7 +229,7 @@ TEST(SessionManager, LazyCreationAndCounting) {
   (void)manager.acquire("a", 60);  // reuse, no new session
   EXPECT_EQ(created, 2);
   EXPECT_EQ(manager.session_count(), 2u);
-  EXPECT_EQ(telemetry.snapshot().sessions_created, 2u);
+  EXPECT_EQ(telemetry.snapshot()[Count::sessions_created], 2u);
 }
 
 TEST(SessionManager, LruEvictionBeyondCapacity) {
@@ -225,13 +246,13 @@ TEST(SessionManager, LruEvictionBeyondCapacity) {
   (void)manager.acquire("a", 2);  // a is now most recent; b is the LRU
   (void)manager.acquire("c", 3);  // pushes the shard over capacity
   EXPECT_EQ(manager.session_count(), 2u);
-  EXPECT_EQ(telemetry.snapshot().sessions_evicted_lru, 1u);
+  EXPECT_EQ(telemetry.snapshot()[Count::sessions_evicted_lru], 1u);
   // b (the least recently used) was the victim: touching it re-creates.
-  const auto before = telemetry.snapshot().sessions_created;
+  const auto before = telemetry.snapshot()[Count::sessions_created];
   (void)manager.acquire("a", 4);
-  EXPECT_EQ(telemetry.snapshot().sessions_created, before);
+  EXPECT_EQ(telemetry.snapshot()[Count::sessions_created], before);
   (void)manager.acquire("b", 5);
-  EXPECT_EQ(telemetry.snapshot().sessions_created, before + 1);
+  EXPECT_EQ(telemetry.snapshot()[Count::sessions_created], before + 1);
 }
 
 TEST(SessionManager, IdleEvictionUsesStreamTime) {
@@ -251,7 +272,7 @@ TEST(SessionManager, IdleEvictionUsesStreamTime) {
   EXPECT_EQ(manager.session_count(), 2u);
   (void)manager.acquire("c", 300);
   EXPECT_EQ(manager.session_count(), 1u);  // a and b evicted, c created
-  EXPECT_EQ(telemetry.snapshot().sessions_evicted_idle, 2u);
+  EXPECT_EQ(telemetry.snapshot()[Count::sessions_evicted_idle], 2u);
 }
 
 TEST(Gateway, CustomFactoryRunsAnyStreamingMechanism) {

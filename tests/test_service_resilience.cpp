@@ -393,16 +393,17 @@ TEST(GatewayChaos, EveryReportAnsweredExactlyOnceUnderHeavyFaults) {
   }
   EXPECT_EQ(load.submitted, data.total_events());
   EXPECT_EQ(capture.total, load.submitted) << "a report was dropped or answered twice";
-  EXPECT_EQ(snap.received, load.submitted);
-  EXPECT_EQ(snap.delivered + snap.suppressed_budget + snap.rejected_queue_full +
-                snap.degraded_suppressed + snap.degraded_fallback,
-            snap.received)
+  EXPECT_EQ(snap[Count::received], load.submitted);
+  EXPECT_EQ(snap[Count::delivered] + snap[Count::suppressed_budget] +
+                snap[Count::rejected_queue_full] + snap[Count::degraded_suppressed] +
+                snap[Count::degraded_fallback],
+            snap[Count::received])
       << "every received report must land in exactly one terminal status";
-  EXPECT_GT(snap.downstream_failures, 0u);
-  EXPECT_GT(snap.downstream_retries, 0u);
-  EXPECT_EQ(snap.downstream_retries, snap.backoff_count);
+  EXPECT_GT(snap[Count::downstream_failures], 0u);
+  EXPECT_GT(snap[Count::downstream_retries], 0u);
+  EXPECT_EQ(snap[Count::downstream_retries], snap.backoff_count);
   // Large queue: the only rejections are the injected bursts.
-  EXPECT_EQ(snap.rejected_queue_full, snap.injected_burst_rejects);
+  EXPECT_EQ(snap[Count::rejected_queue_full], snap[Count::injected_burst_rejects]);
   // Per-user answers stay in submission order once inline rejections are
   // merged back by seq.
   capture.sort_by_seq();
@@ -531,12 +532,12 @@ TEST(GatewayChaos, TelemetryReconcilesWithOfflineScheduleReplay) {
       EXPECT_EQ(r.status == ReportStatus::delivered, ok) << "seq " << r.seq;
     }
   }
-  EXPECT_EQ(snap.injected_burst_rejects, bursts);
-  EXPECT_EQ(snap.worker_stalls, stalls);
-  EXPECT_EQ(snap.clock_skews, skews);
-  EXPECT_EQ(snap.downstream_attempts, attempts);
-  EXPECT_EQ(snap.downstream_failures, failures);
-  EXPECT_EQ(snap.downstream_retries, retries);
+  EXPECT_EQ(snap[Count::injected_burst_rejects], bursts);
+  EXPECT_EQ(snap[Count::worker_stalls], stalls);
+  EXPECT_EQ(snap[Count::clock_skews], skews);
+  EXPECT_EQ(snap[Count::downstream_attempts], attempts);
+  EXPECT_EQ(snap[Count::downstream_failures], failures);
+  EXPECT_EQ(snap[Count::downstream_retries], retries);
 }
 
 TEST(GatewayChaos, FallbackCloakAnswersOnTheCloakingGrid) {
@@ -552,9 +553,9 @@ TEST(GatewayChaos, FallbackCloakAnswersOnTheCloakingGrid) {
     replay_dataset(data, gateway);
     snap = gateway.telemetry().snapshot();
   }
-  EXPECT_EQ(snap.delivered, 0u) << "nothing can be delivered when every attempt fails";
-  EXPECT_GT(snap.degraded_fallback, 0u);
-  EXPECT_EQ(snap.degraded_suppressed, 0u);
+  EXPECT_EQ(snap[Count::delivered], 0u) << "nothing can be delivered when every attempt fails";
+  EXPECT_GT(snap[Count::degraded_fallback], 0u);
+  EXPECT_EQ(snap[Count::degraded_suppressed], 0u);
   for (const auto& [user, reports] : capture.by_user) {
     for (const ProtectedReport& r : reports) {
       if (r.status != ReportStatus::degraded_fallback) continue;
@@ -580,10 +581,10 @@ TEST(GatewayChaos, SuppressPolicyShedsWithoutRetrying) {
     replay_dataset(data, gateway);
     snap = gateway.telemetry().snapshot();
   }
-  EXPECT_EQ(snap.downstream_retries, 0u);
+  EXPECT_EQ(snap[Count::downstream_retries], 0u);
   EXPECT_EQ(snap.backoff_count, 0u);
-  EXPECT_GT(snap.degraded_suppressed, 0u);
-  EXPECT_EQ(snap.degraded_fallback, 0u);
+  EXPECT_GT(snap[Count::degraded_suppressed], 0u);
+  EXPECT_EQ(snap[Count::degraded_fallback], 0u);
   for (const auto& [user, reports] : capture.by_user) {
     for (const ProtectedReport& r : reports) {
       if (r.status == ReportStatus::degraded_suppressed) {
@@ -605,8 +606,8 @@ TEST(GatewayChaos, ClockSkewIsClampedToMonotonePerUserTime) {
     replay_dataset(data, gateway);
     snap = gateway.telemetry().snapshot();
   }
-  EXPECT_GT(snap.clock_skews, 0u);
-  EXPECT_GT(snap.timestamps_clamped, 0u)
+  EXPECT_GT(snap[Count::clock_skews], 0u);
+  EXPECT_GT(snap[Count::timestamps_clamped], 0u)
       << "±600 s of skew on 60 s-spaced reports must send some clock backwards";
   // The budget accountant requires monotone per-user time; the gateway
   // must deliver it no matter what the injected clocks do.
@@ -620,9 +621,10 @@ TEST(GatewayChaos, ClockSkewIsClampedToMonotonePerUserTime) {
     }
   }
   // Nothing was lost to the chaos: the exactly-once identity still holds.
-  EXPECT_EQ(snap.delivered + snap.suppressed_budget + snap.rejected_queue_full +
-                snap.degraded_suppressed + snap.degraded_fallback,
-            snap.received);
+  EXPECT_EQ(snap[Count::delivered] + snap[Count::suppressed_budget] +
+                snap[Count::rejected_queue_full] + snap[Count::degraded_suppressed] +
+                snap[Count::degraded_fallback],
+            snap[Count::received]);
 }
 
 TEST(GatewayChaos, BreakerTripsAndShortCircuitsUnderHardDownDownstream) {
@@ -637,13 +639,14 @@ TEST(GatewayChaos, BreakerTripsAndShortCircuitsUnderHardDownDownstream) {
     replay_dataset(data, gateway);
     snap = gateway.telemetry().snapshot();
   }
-  EXPECT_GT(snap.breaker_trips, 0u);
-  EXPECT_GT(snap.breaker_short_circuits, 0u);
+  EXPECT_GT(snap[Count::breaker_trips], 0u);
+  EXPECT_GT(snap[Count::breaker_short_circuits], 0u);
   // Short-circuited calls spare the downstream: attempts stay well under
   // the no-breaker worst case of every report exhausting its retries.
   const std::uint64_t worst_case =
-      (snap.received - snap.rejected_queue_full) * (1u + cfg.resilience.max_retries);
-  EXPECT_LT(snap.downstream_attempts, worst_case / 2);
+      (snap[Count::received] - snap[Count::rejected_queue_full]) *
+      (1u + cfg.resilience.max_retries);
+  EXPECT_LT(snap[Count::downstream_attempts], worst_case / 2);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // aggregated telemetry, crash + restart + client re-route, drain).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <poll.h>
@@ -213,11 +214,15 @@ TEST(ShardServer, ReloadPreservesSessionBudgets) {
   EXPECT_EQ(submit_one(3, 120), ReportStatus::delivered);
   EXPECT_EQ(submit_one(4, 180), ReportStatus::suppressed_budget);
 
-  // An invalid spec is rejected without dropping the connection.
-  ASSERT_TRUE(conn.send(net::FrameType::kReload, std::string("{\"faults\":\"not a spec\"}")));
+  // An invalid spec is rejected without dropping the connection — also
+  // one that parses but names an unknown metric.
   net::Frame frame;
-  ASSERT_TRUE(conn.recv(frame));
-  EXPECT_EQ(frame.type, net::FrameType::kError);
+  for (const char* spec : {"{\"faults\":\"not a spec\"}",
+                           "{\"objectives\":\"pr=0.15,pr_tol=0.15,pr_metric=bogus\"}"}) {
+    ASSERT_TRUE(conn.send(net::FrameType::kReload, std::string(spec)));
+    ASSERT_TRUE(conn.recv(frame)) << spec;
+    EXPECT_EQ(frame.type, net::FrameType::kError) << spec;
+  }
   EXPECT_EQ(submit_one(5, 7200), ReportStatus::delivered);  // new window, same conn
 
   fx.drain_and_join();
@@ -347,7 +352,11 @@ ShardServiceConfig supervisor_config(const std::string& name, std::size_t shards
 }
 
 TEST(ShardService, ServesShardMapRoutesSubmitsAndAggregatesTelemetry) {
-  const ShardServiceConfig cfg = supervisor_config("svc_map", 2);
+  ShardServiceConfig cfg = supervisor_config("svc_map", 2);
+  // Two live sessions per shard process: the rest of the users evict
+  // LRU sessions, so the aggregate has a non-zero eviction count to sum.
+  cfg.gateway.sessions.shard_count = 1;
+  cfg.gateway.sessions.max_sessions_per_shard = 2;
   ShardService svc(cfg);
   ASSERT_TRUE(svc.start()) << svc.error();
 
@@ -398,9 +407,24 @@ TEST(ShardService, ServesShardMapRoutesSubmitsAndAggregatesTelemetry) {
   ASSERT_EQ(reply.type, net::FrameType::kTelemetryReply);
   const io::JsonValue telemetry =
       io::parse_json(std::string(reply.payload.begin(), reply.payload.end()));
-  EXPECT_EQ(telemetry.at("aggregate").at("received").as_number(), kUsers);
-  EXPECT_EQ(telemetry.at("aggregate").at("delivered").as_number(), kUsers);
-  EXPECT_EQ(telemetry.at("aggregate").at("resident_set_kb_per_shard").as_array().size(), 2u);
+  const io::JsonValue& aggregate = telemetry.at("aggregate");
+  EXPECT_EQ(aggregate.at("received").as_number(), kUsers);
+  EXPECT_EQ(aggregate.at("delivered").as_number(), kUsers);
+  EXPECT_EQ(aggregate.at("sessions_evicted_lru").as_number(),
+            std::max(per_shard[0] - 2, 0) + std::max(per_shard[1] - 2, 0));
+  EXPECT_EQ(aggregate.at("resident_set_kb_per_shard").as_array().size(), 2u);
+  // Every counter is summed, read from the block it lives in.
+  const io::JsonArray& shard_reports = telemetry.at("per_shard").as_array();
+  ASSERT_EQ(shard_reports.size(), 2u);
+  for (const CountSpec& spec : kCountTable) {
+    SCOPED_TRACE(spec.name);
+    double sum = 0.0;
+    for (const io::JsonValue& shard : shard_reports) {
+      sum += shard.at(home_block(spec.block)).at(spec.name).as_number();
+    }
+    ASSERT_TRUE(aggregate.contains(spec.name));
+    EXPECT_EQ(aggregate.at(spec.name).as_number(), sum);
+  }
 
   // A submit on the supervisor endpoint is a protocol error.
   ASSERT_TRUE(supervisor_request(svc, sup, net::FrameType::kSubmit, "nope", reply));
@@ -460,6 +484,92 @@ TEST(ShardService, CrashedShardIsRestartedAndClientsReroute) {
   // The crash lost the shard's sessions: the restarted shard starts the
   // user's sequence over instead of resuming the old ledger.
   EXPECT_EQ(a->status, ReportStatus::delivered);
+
+  svc.drain();
+}
+
+/// A user owned by `shard` under `map`.
+std::string user_on_shard(const net::ShardMap& map, std::size_t shard) {
+  for (int i = 0;; ++i) {
+    std::string candidate = "reload-user-" + std::to_string(i);
+    if (map.shard_of(candidate) == shard) return candidate;
+  }
+}
+
+/// Submits one report straight to shard 0 and returns its answer.
+ReportStatus submit_to_shard0(const net::ShardMap& map, std::uint64_t tag) {
+  net::Connection conn;
+  EXPECT_TRUE(conn.connect(map.endpoints[0])) << conn.error();
+  net::SubmitPayload p;
+  p.tag = tag;
+  p.user_id = user_on_shard(map, 0);
+  p.event = event_at(static_cast<trace::Timestamp>(tag) * 60, 1.0, 2.0);
+  EXPECT_TRUE(conn.send_submit(p)) << conn.error();
+  net::Frame frame;
+  EXPECT_TRUE(conn.recv(frame)) << conn.error();
+  EXPECT_EQ(frame.type, net::FrameType::kAnswer);
+  const auto a = net::decode_answer(frame.payload.data(), frame.payload.size());
+  EXPECT_TRUE(a.has_value());
+  return a.has_value() ? a->status : ReportStatus::delivered;
+}
+
+TEST(ShardService, ReloadSurvivesShardRestart) {
+  const ShardServiceConfig cfg = supervisor_config("svc_reload_restart", 2);
+  ShardService svc(cfg);
+  ASSERT_TRUE(svc.start()) << svc.error();
+  const net::ShardMap map = svc.shard_map();
+
+  // Every submission falls in an injected overflow burst from now on.
+  net::Connection sup;
+  ASSERT_TRUE(sup.connect(cfg.listen));
+  net::Frame reply;
+  ASSERT_TRUE(supervisor_request(svc, sup, net::FrameType::kReload,
+                                 "{\"faults\":\"burst_p=1\"}", reply))
+      << sup.error();
+  ASSERT_EQ(reply.type, net::FrameType::kReloadReply);
+  EXPECT_EQ(submit_to_shard0(map, 1), ReportStatus::rejected_queue_full);
+
+  // A shard re-forked after a crash runs the reloaded policy, not the
+  // startup one.
+  const pid_t old_pid = svc.shard_pid(0);
+  ASSERT_EQ(::kill(old_pid, SIGKILL), 0);
+  for (int i = 0; i < 1000 && svc.restarts() == 0; ++i) (void)svc.run_once(10);
+  ASSERT_EQ(svc.restarts(), 1u);
+  EXPECT_EQ(submit_to_shard0(map, 2), ReportStatus::rejected_queue_full);
+
+  svc.drain();
+}
+
+TEST(ShardService, EmptyFaultsReloadClearsThePlan) {
+  const ShardServiceConfig cfg = supervisor_config("svc_reload_clear", 2);
+  ShardService svc(cfg);
+  ASSERT_TRUE(svc.start()) << svc.error();
+  const net::ShardMap map = svc.shard_map();
+
+  net::Connection sup;
+  ASSERT_TRUE(sup.connect(cfg.listen));
+  net::Frame reply;
+  ASSERT_TRUE(supervisor_request(svc, sup, net::FrameType::kReload,
+                                 "{\"faults\":\"burst_p=1\"}", reply))
+      << sup.error();
+  ASSERT_EQ(reply.type, net::FrameType::kReloadReply);
+  EXPECT_EQ(submit_to_shard0(map, 1), ReportStatus::rejected_queue_full);
+
+  // An invalid spec (here: an unknown metric) is refused before any
+  // shard sees it, and changes nothing.
+  ASSERT_TRUE(supervisor_request(
+      svc, sup, net::FrameType::kReload,
+      "{\"faults\":\"\",\"objectives\":\"pr=0.15,pr_tol=0.15,pr_metric=bogus\"}", reply))
+      << sup.error();
+  EXPECT_EQ(reply.type, net::FrameType::kError);
+  EXPECT_EQ(submit_to_shard0(map, 2), ReportStatus::rejected_queue_full);
+
+  // An empty string clears the fault plan in every shard.
+  ASSERT_TRUE(
+      supervisor_request(svc, sup, net::FrameType::kReload, "{\"faults\":\"\"}", reply))
+      << sup.error();
+  ASSERT_EQ(reply.type, net::FrameType::kReloadReply);
+  EXPECT_EQ(submit_to_shard0(map, 3), ReportStatus::delivered);
 
   svc.drain();
 }

@@ -759,32 +759,32 @@ int cmd_serve_sim(const Args& args) {
   const service::LoadResult load = service::replay_dataset(data, gateway, load_cfg);
   const service::TelemetrySnapshot snap = gateway.telemetry().snapshot();
 
+  using service::Count;
   io::Table table({"outcome", "count", "share"});
-  const auto share = [&](std::uint64_t n) {
-    return io::Table::num(
-        snap.received > 0 ? static_cast<double>(n) / static_cast<double>(snap.received) : 0.0, 3);
+  const auto add_outcome = [&](const char* label, Count c) {
+    const double received = static_cast<double>(snap[Count::received]);
+    table.add_row({label, std::to_string(snap[c]),
+                   io::Table::num(received > 0 ? static_cast<double>(snap[c]) / received : 0.0, 3)});
   };
-  table.add_row({"delivered", std::to_string(snap.delivered), share(snap.delivered)});
-  table.add_row(
-      {"suppressed (budget)", std::to_string(snap.suppressed_budget),
-       share(snap.suppressed_budget)});
-  table.add_row({"rejected (queue full)", std::to_string(snap.rejected_queue_full),
-                 share(snap.rejected_queue_full)});
-  table.add_row({"degraded (suppressed)", std::to_string(snap.degraded_suppressed),
-                 share(snap.degraded_suppressed)});
-  table.add_row({"degraded (fallback cloak)", std::to_string(snap.degraded_fallback),
-                 share(snap.degraded_fallback)});
+  add_outcome("delivered", Count::delivered);
+  add_outcome("suppressed (budget)", Count::suppressed_budget);
+  add_outcome("rejected (queue full)", Count::rejected_queue_full);
+  add_outcome("degraded (suppressed)", Count::degraded_suppressed);
+  add_outcome("degraded (fallback cloak)", Count::degraded_fallback);
   table.print(std::cout);
 
-  if (cfg.faults.any() || snap.downstream_attempts > 0) {
-    std::cout << "\ndownstream: " << snap.downstream_attempts << " attempts, "
-              << snap.downstream_failures << " failures, " << snap.downstream_retries
-              << " retries (backoff p50 " << static_cast<long long>(snap.backoff_p50_us)
-              << " us, p95 " << static_cast<long long>(snap.backoff_p95_us) << " us)\n"
-              << "breaker: " << snap.breaker_trips << " trips, " << snap.breaker_short_circuits
-              << " short-circuits | deadline exceeded: " << snap.deadline_exceeded << "\n"
-              << "injected: " << snap.injected_burst_rejects << " burst rejects, "
-              << snap.worker_stalls << " stalls, " << snap.clock_skews << " clock skews\n";
+  if (cfg.faults.any() || snap[Count::downstream_attempts] > 0) {
+    std::cout << "\ndownstream: " << snap[Count::downstream_attempts] << " attempts, "
+              << snap[Count::downstream_failures] << " failures, "
+              << snap[Count::downstream_retries] << " retries (backoff p50 "
+              << static_cast<long long>(snap.backoff_p50_us) << " us, p95 "
+              << static_cast<long long>(snap.backoff_p95_us) << " us)\n"
+              << "breaker: " << snap[Count::breaker_trips] << " trips, "
+              << snap[Count::breaker_short_circuits]
+              << " short-circuits | deadline exceeded: " << snap[Count::deadline_exceeded] << "\n"
+              << "injected: " << snap[Count::injected_burst_rejects] << " burst rejects, "
+              << snap[Count::worker_stalls] << " stalls, " << snap[Count::clock_skews]
+              << " clock skews\n";
   }
 
   std::cout << "\nthroughput: " << static_cast<long long>(load.events_per_sec)
@@ -798,8 +798,9 @@ int cmd_serve_sim(const Args& args) {
             << static_cast<long long>(snap.latency_p99_us) << "\n"
             << "eps spend in window: p50 " << io::Table::num(snap.eps_p50, 4) << ", max "
             << io::Table::num(snap.eps_max_seen, 4) << " (budget " << cfg.budget_eps << ")\n"
-            << "sessions: " << snap.sessions_created << " created, " << snap.sessions_evicted_idle
-            << " idle-evicted, " << snap.sessions_evicted_lru << " lru-evicted\n";
+            << "sessions: " << snap[Count::sessions_created] << " created, "
+            << snap[Count::sessions_evicted_idle] << " idle-evicted, "
+            << snap[Count::sessions_evicted_lru] << " lru-evicted\n";
 
   if (const service::adaptive::ControlLog* log = gateway.control_log(); log != nullptr) {
     std::cout << "adaptive: " << log->decision_count() << " decisions over " << log->user_count()

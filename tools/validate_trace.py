@@ -13,9 +13,13 @@ Optionally asserts a minimum span count and the presence of expected
 span names (--expect), so CI can require that the instrumented hot
 paths really fired.
 
-With --telemetry the input is instead a serve-sim --out telemetry JSON:
-the gateway counter/latency/eps blocks are checked, and when the file
-has an "adaptive" block (a run with --objectives) its decision counts,
+With --telemetry the input is instead a serve-sim --out telemetry JSON
+(written after a drain): every counter of the "counters" and
+"resilience" blocks must be present and non-negative, the drained
+exactly-once identity received == delivered + suppressed_budget +
+rejected_queue_full + degraded_suppressed + degraded_fallback must
+hold, the latency/eps blocks must be objects, and when the file has an
+"adaptive" block (a run with --objectives) its decision counts,
 action histogram and ε-trajectory histogram must be present and
 internally consistent. --require-adaptive fails if the block is absent.
 
@@ -60,6 +64,18 @@ def validate_event(i: int, event: object) -> str:
                 fail(f"event {i}: args[{k!r}] must be a number or string")
     return event["name"]
 
+
+# The gateway's counter table (service::kCountTable in
+# src/service/telemetry.h), by JSON block; degraded_* are in both.
+COUNTERS_BLOCK = ("received", "delivered", "suppressed_budget", "rejected_queue_full",
+                  "degraded_suppressed", "degraded_fallback", "sessions_created",
+                  "sessions_evicted_idle", "sessions_evicted_lru")
+RESILIENCE_BLOCK = ("downstream_attempts", "downstream_failures", "downstream_retries",
+                    "breaker_trips", "breaker_short_circuits", "deadline_exceeded",
+                    "degraded_suppressed", "degraded_fallback", "injected_burst_rejects",
+                    "worker_stalls", "clock_skews", "timestamps_clamped")
+ANSWERS = ("delivered", "suppressed_budget", "rejected_queue_full",
+           "degraded_suppressed", "degraded_fallback")
 
 ADAPTIVE_ACTIONS = ("hold_in_band", "hold_cooldown", "hold_insufficient",
                     "hold_frozen", "step", "saturate_lo", "saturate_hi")
@@ -120,14 +136,16 @@ def validate_telemetry(path: str, require_adaptive: bool) -> None:
         fail(f"cannot load {path}: {e}")
     if not isinstance(doc, dict):
         fail("telemetry: top level must be an object")
-    counters = doc.get("counters")
-    if not isinstance(counters, dict):
-        fail("telemetry: 'counters' must be an object")
-    for key in ("received", "delivered", "suppressed_budget", "rejected_queue_full"):
-        require_count(counters, "counters", key)
-    for block in ("latency", "eps_spend", "resilience"):
+    for block in ("counters", "latency", "eps_spend", "resilience"):
         if not isinstance(doc.get(block), dict):
             fail(f"telemetry: '{block}' must be an object")
+    counters = {key: require_count(doc["counters"], "counters", key) for key in COUNTERS_BLOCK}
+    for key in RESILIENCE_BLOCK:
+        require_count(doc["resilience"], "resilience", key)
+    answered = sum(counters[key] for key in ANSWERS)
+    if counters["received"] != answered:
+        fail(f"telemetry: received {counters['received']:.0f} != {answered:.0f} answered "
+             f"({' + '.join(ANSWERS)}): a report was lost or answered twice")
     adaptive = doc.get("adaptive")
     if adaptive is None:
         if require_adaptive:
