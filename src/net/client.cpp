@@ -1,7 +1,5 @@
 #include "net/client.h"
 
-#include <cerrno>
-
 #include "io/json.h"
 #include "net/error.h"
 #include "net/stream.h"
@@ -12,8 +10,16 @@ namespace locpriv::net {
 bool Connection::connect(const Endpoint& ep) {
   error_.clear();
   eof_ = false;
+  reader_ = FrameReader();
   fd_ = connect_endpoint(ep, &error_);
   return fd_.valid();
+}
+
+void Connection::adopt(Fd fd) {
+  error_.clear();
+  eof_ = false;
+  reader_ = FrameReader();
+  fd_ = std::move(fd);
 }
 
 bool Connection::send(FrameType type, const void* payload, std::size_t len) {
@@ -43,39 +49,30 @@ bool Connection::recv(Frame& out) {
     error_ = "recv on closed connection";
     return false;
   }
-  std::uint8_t header_buf[kFrameHeaderBytes];
-  int err = 0;
-  if (!read_exact(fd_.get(), header_buf, sizeof header_buf, &err)) {
-    if (err == 0) {
-      eof_ = true;
-      error_.clear();
-    } else {
-      error_ = errno_message("recv header", err);
+  char buf[16 * 1024];
+  while (true) {
+    const FrameReader::Result r = reader_.next(out);
+    if (r == FrameReader::Result::kFrame) return true;
+    if (r == FrameReader::Result::kBad) {
+      error_ = std::string("recv: ") + to_string(reader_.error());
+      fd_.reset();
+      return false;
     }
-    fd_.reset();
-    return false;
+    const ssize_t got = read_some(fd_.get(), buf, sizeof buf);
+    if (got <= 0) {
+      if (got < 0) {
+        error_ = errno_message("recv");
+      } else if (reader_.buffered() == 0) {
+        eof_ = true;
+        error_.clear();
+      } else {
+        error_ = "recv: unexpected end of stream";
+      }
+      fd_.reset();
+      return false;
+    }
+    reader_.feed(buf, static_cast<std::size_t>(got));
   }
-  FrameError ferr = FrameError::kNone;
-  const auto header = decode_header(header_buf, sizeof header_buf, &ferr);
-  if (!header) {
-    error_ = std::string("recv: ") + to_string(ferr);
-    fd_.reset();
-    return false;
-  }
-  out.type = header->type;
-  out.payload.resize(header->payload_len);
-  if (header->payload_len > 0 &&
-      !read_exact(fd_.get(), out.payload.data(), out.payload.size(), &err)) {
-    error_ = err == 0 ? "recv payload: unexpected end of stream" : errno_message("recv payload", err);
-    fd_.reset();
-    return false;
-  }
-  if (!payload_checksum_ok(*header, out.payload.data(), out.payload.size())) {
-    error_ = std::string("recv: ") + to_string(FrameError::kBadChecksum);
-    fd_.reset();
-    return false;
-  }
-  return true;
 }
 
 bool Connection::request(FrameType type, const std::string& payload, FrameType expect,

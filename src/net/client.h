@@ -26,7 +26,7 @@ class Connection {
   [[nodiscard]] bool connect(const Endpoint& ep);
 
   /// Adopts an already-connected fd (e.g. from a socketpair).
-  void adopt(Fd fd) { fd_ = std::move(fd); }
+  void adopt(Fd fd);
 
   [[nodiscard]] bool send(FrameType type, const void* payload, std::size_t len);
   [[nodiscard]] bool send(FrameType type, const std::string& payload) {
@@ -34,8 +34,9 @@ class Connection {
   }
   [[nodiscard]] bool send_submit(const SubmitPayload& p);
 
-  /// Blocking read of the next frame. False on EOF or error (error()
-  /// distinguishes: EOF leaves error() empty-handed with eof() true).
+  /// Blocking read of the next frame. False on EOF or error: a clean
+  /// EOF between frames leaves error() empty with eof() true; EOF inside
+  /// a frame or a frame that fails to decode is an error.
   [[nodiscard]] bool recv(Frame& out);
 
   /// send + recv, expecting one reply of `expect` (a kError reply is
@@ -52,6 +53,7 @@ class Connection {
 
  private:
   Fd fd_;
+  FrameReader reader_;
   std::vector<std::uint8_t> scratch_;
   std::string error_;
   bool eof_ = false;

@@ -36,18 +36,4 @@ bool write_all(int fd, const void* buf, std::size_t n, int* err) {
   return true;
 }
 
-bool read_exact(int fd, void* buf, std::size_t n, int* err) {
-  char* p = static_cast<char*>(buf);
-  while (n > 0) {
-    const ssize_t got = read_some(fd, p, n);
-    if (got <= 0) {
-      if (err != nullptr) *err = got == 0 ? 0 : errno;
-      return false;
-    }
-    p += got;
-    n -= static_cast<std::size_t>(got);
-  }
-  return true;
-}
-
 }  // namespace locpriv::net

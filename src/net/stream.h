@@ -32,8 +32,4 @@ namespace locpriv::net {
 /// errno latched in *err (when non-null).
 [[nodiscard]] bool write_all(int fd, const void* buf, std::size_t n, int* err = nullptr);
 
-/// Blocking loop until all `n` bytes are read. False on EOF-before-n
-/// (errno latched as 0) or on failure (errno latched).
-[[nodiscard]] bool read_exact(int fd, void* buf, std::size_t n, int* err = nullptr);
-
 }  // namespace locpriv::net

@@ -3,11 +3,13 @@
 // (whose worker threads do the actual protection work).
 //
 // Threading contract: the event loop thread owns every connection and
-// all protocol state. Gateway worker threads touch exactly two shared
+// all protocol state; the connections themselves live in a
+// net::FrameServer. Gateway worker threads touch exactly two shared
 // structures — the cookie → connection pending map, and per-connection
-// Outboxes (mutex-guarded byte buffers) — then wake() the loop, which
-// flushes outboxes to sockets. Nothing else crosses threads, so the
-// loop never blocks on a worker and a worker never touches a socket.
+// FrameServer::Outboxes (mutex-guarded byte buffers) — then wake() the
+// loop, which flushes outboxes to sockets. Nothing else crosses threads,
+// so the loop never blocks on a worker and a worker never touches a
+// socket.
 //
 // Answer routing: each accepted kSubmit gets a process-unique cookie,
 // submitted to the gateway as Request::cookie. The sink looks the
@@ -15,10 +17,9 @@
 // the submitting connection's outbox, and wakes the loop. A connection
 // that died in the meantime just drops the answer.
 //
-// Backpressure: a connection whose outbox + partially-written backlog
-// exceeds the high-water mark stops being read (its kEventRead interest
-// is dropped) until the backlog drains below the low-water mark — a
-// slow reader throttles itself, never the shard.
+// Backpressure is the FrameServer's: a slow reader stops being read
+// until its queued answers drain, and throttles itself, never the shard.
+// A drain holds every client's reads except the requester's.
 //
 // Dataset arena: when a dataset path is configured the shard maps the
 // .lpds file (use_mmap, no verify — the supervisor verified it once),
@@ -32,12 +33,9 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
-#include "net/event_loop.h"
 #include "net/fd.h"
-#include "net/frame.h"
-#include "net/socket.h"
+#include "net/frame_server.h"
 #include "service/audit.h"
 #include "service/gateway.h"
 #include "trace/store.h"
@@ -83,7 +81,7 @@ class ShardServer {
   [[nodiscard]] const std::string& error() const { return error_; }
   [[nodiscard]] const net::Endpoint& endpoint() const { return cfg_.listen; }
   [[nodiscard]] bool draining() const { return draining_; }
-  [[nodiscard]] std::size_t connections() const { return conns_.size(); }
+  [[nodiscard]] std::size_t connections() const { return server_.connections(); }
   [[nodiscard]] const Gateway& gateway() const { return *gateway_; }
   [[nodiscard]] const StreamAuditor* auditor() const { return auditor_.get(); }
 
@@ -93,60 +91,25 @@ class ShardServer {
   [[nodiscard]] std::string telemetry_json() const;
 
  private:
-  /// Thread-crossing answer buffer; see file comment.
-  struct Outbox {
-    std::mutex mutex;
-    std::vector<std::uint8_t> data;
-  };
-
-  struct Conn {
-    net::Fd fd;
-    std::uint64_t serial = 0;
-    net::FrameReader reader;
-    std::shared_ptr<Outbox> outbox;
-    /// Loop-owned staging: bytes taken from the outbox (plus direct
-    /// loop-thread replies) not yet accepted by the socket.
-    std::vector<std::uint8_t> backlog;
-    std::size_t backlog_pos = 0;
-    bool is_control = false;
-    bool read_paused = false;
-    /// Protocol violation: flush what is queued (the kError), then close.
-    bool close_after_flush = false;
-  };
-
   struct Pending {
-    std::shared_ptr<Outbox> outbox;
+    std::shared_ptr<net::FrameServer::Outbox> outbox;
     std::uint64_t tag = 0;
   };
 
-  void accept_ready();
-  void conn_event(std::uint64_t serial, unsigned events);
-  void read_conn(Conn& conn);
-  void dispatch(Conn& conn, const net::Frame& frame);
-  void handle_submit(Conn& conn, const net::Frame& frame);
-  void handle_drain(Conn& conn);
-  void handle_reload(Conn& conn, const net::Frame& frame);
-  void protocol_error(Conn& conn, const std::string& message);
-  /// Queues a frame on the connection from the loop thread.
-  void send(Conn& conn, net::FrameType type, const std::string& payload);
-  /// Moves outbox bytes into the backlog and writes what the socket
-  /// takes; manages write interest and read-pause state.
-  void flush(Conn& conn);
-  void flush_all();
-  void close_conn(std::uint64_t serial);
-  void update_interest(Conn& conn);
+  void dispatch(net::FrameServer::Conn& conn, const net::Frame& frame);
+  void handle_submit(net::FrameServer::Conn& conn, const net::Frame& frame);
+  void handle_drain(net::FrameServer::Conn& conn);
+  void handle_reload(net::FrameServer::Conn& conn, const net::Frame& frame);
+  void on_close(std::uint64_t serial);
   /// The sink: routes one gateway answer to its connection's outbox.
   void on_answer(const ProtectedReport& report);
-  void finish_drain();
 
   ShardServerConfig cfg_;
   std::string error_;
   net::EventLoop loop_;
-  net::Fd listener_;
+  net::FrameServer server_;
   std::shared_ptr<const trace::TraceStore> store_;
   std::unique_ptr<StreamAuditor> auditor_;
-  std::unordered_map<std::uint64_t, Conn> conns_;
-  std::uint64_t next_serial_ = 1;
   std::uint64_t control_serial_ = 0;  ///< 0 = no control channel
 
   std::mutex pending_mutex_;
@@ -156,7 +119,6 @@ class ShardServer {
   bool draining_ = false;
   /// Drain reply queued; the loop stops once every backlog is flushed.
   bool finishing_ = false;
-  std::uint64_t drain_requester_ = 0;  ///< conn serial to answer, 0 = none
 
   std::unique_ptr<Gateway> gateway_;  ///< last: workers die before the rest
 };

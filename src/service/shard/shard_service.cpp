@@ -1,11 +1,8 @@
 #include "service/shard/shard_service.h"
 
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <exception>
-#include <fstream>
-#include <sstream>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -13,7 +10,6 @@
 
 #include "io/json.h"
 #include "net/error.h"
-#include "net/stream.h"
 #include "service/shard/shard_server.h"
 #include "trace/store_io.h"
 
@@ -36,7 +32,12 @@ double sum_count(const std::vector<io::JsonValue>& shards, const CountSpec& spec
 
 }  // namespace
 
-ShardService::ShardService(ShardServiceConfig cfg) : cfg_(std::move(cfg)) {
+ShardService::ShardService(ShardServiceConfig cfg)
+    : cfg_(std::move(cfg)),
+      server_(
+          loop_,
+          [this](net::FrameServer::Conn& conn, const net::Frame& frame) { dispatch(conn, frame); },
+          [](std::uint64_t) {}) {
   net::ignore_sigpipe();
 }
 
@@ -70,17 +71,11 @@ bool ShardService::start() {
     }
   }
 
-  listener_ = net::listen_endpoint(cfg_.listen, /*backlog=*/128, &error_);
-  if (!listener_.valid()) {
+  if (!server_.listen(cfg_.listen, &error_)) {
+    error_.insert(0, "supervisor: ");
     drain();
     return false;
   }
-  if (!net::set_nonblocking(listener_.get())) {
-    error_ = net::errno_message("supervisor: listener nonblocking");
-    drain();
-    return false;
-  }
-  (void)loop_.add(listener_.get(), net::kEventRead, [this](unsigned) { accept_ready(); });
 
   net::SignalPipe& signals = net::SignalPipe::instance();
   for (const int signo : kWatchedSignals) (void)signals.watch(signo);
@@ -108,9 +103,8 @@ bool ShardService::fork_shard(std::size_t k) {
     // shards' control channels must die with the supervisor, not live
     // on in a worker.
     ::close(sv[0]);
-    listener_.reset();
+    server_.drop_after_fork();
     for (auto& proc : procs_) proc.control.close();
-    clients_.clear();
     net::SignalPipe& signals = net::SignalPipe::instance();
     for (const int signo : kWatchedSignals) signals.unwatch(signo);
 
@@ -298,133 +292,42 @@ net::ShardMap ShardService::shard_map() const {
   return map;
 }
 
-void ShardService::accept_ready() {
-  while (true) {
-    net::Fd fd = net::accept_connection(listener_.get());
-    if (!fd.valid()) return;
-    const std::uint64_t serial = next_serial_++;
-    ClientConn conn;
-    conn.fd = std::move(fd);
-    conn.serial = serial;
-    const int raw_fd = conn.fd.get();
-    clients_.emplace(serial, std::move(conn));
-    if (!loop_.add(raw_fd, net::kEventRead,
-                   [this, serial](unsigned ev) { client_event(serial, ev); })) {
-      clients_.erase(serial);
-    }
-  }
-}
-
-void ShardService::client_event(std::uint64_t serial, unsigned events) {
-  const auto it = clients_.find(serial);
-  if (it == clients_.end()) return;
-  ClientConn& conn = it->second;
-  if (events & net::kEventWrite) flush(conn);
-  if (clients_.find(serial) == clients_.end()) return;
-  if ((events & net::kEventRead) == 0) return;
-
-  char buf[16 * 1024];
-  while (true) {
-    const ssize_t got = net::read_some(conn.fd.get(), buf, sizeof buf);
-    if (got < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      close_client(serial);
-      return;
-    }
-    if (got == 0) {
-      close_client(serial);
-      return;
-    }
-    conn.reader.feed(buf, static_cast<std::size_t>(got));
-    net::Frame frame;
-    net::FrameReader::Result r;
-    while ((r = conn.reader.next(frame)) == net::FrameReader::Result::kFrame) {
-      dispatch(conn, frame);
-      if (clients_.find(serial) == clients_.end()) return;
-      if (conn.close_after_flush) break;
-    }
-    if (r == net::FrameReader::Result::kBad) {
-      send(conn, net::FrameType::kError, net::to_string(conn.reader.error()));
-      conn.close_after_flush = true;
-      flush(conn);
-      return;
-    }
-    if (conn.close_after_flush) return;
-    if (static_cast<std::size_t>(got) < sizeof buf) break;
-  }
-}
-
-void ShardService::dispatch(ClientConn& conn, const net::Frame& frame) {
+void ShardService::dispatch(net::FrameServer::Conn& conn, const net::Frame& frame) {
   switch (frame.type) {
     case net::FrameType::kShardMapReq:
-      send(conn, net::FrameType::kShardMapReply, shard_map().to_json());
+      server_.send(conn, net::FrameType::kShardMapReply, shard_map().to_json());
       break;
     case net::FrameType::kTelemetryReq:
-      send(conn, net::FrameType::kTelemetryReply, aggregate_telemetry());
+      server_.send(conn, net::FrameType::kTelemetryReply, aggregate_telemetry());
       break;
     case net::FrameType::kDrainReq: {
       drain();
       io::JsonObject reply;
       reply["shards"] = cfg_.shards;
-      send(conn, net::FrameType::kDrainReply, io::to_json(io::JsonValue(std::move(reply))));
-      conn.close_after_flush = true;
+      server_.send_and_close(conn, net::FrameType::kDrainReply,
+                             io::to_json(io::JsonValue(std::move(reply))));
       break;
     }
     case net::FrameType::kReload: {
       if (reload(std::string(frame.payload.begin(), frame.payload.end()))) {
         io::JsonObject reply;
         reply["shards"] = cfg_.shards;
-        send(conn, net::FrameType::kReloadReply, io::to_json(io::JsonValue(std::move(reply))));
+        server_.send(conn, net::FrameType::kReloadReply,
+                     io::to_json(io::JsonValue(std::move(reply))));
       } else {
-        send(conn, net::FrameType::kError, error_);
+        server_.send(conn, net::FrameType::kError, error_);
       }
       break;
     }
     case net::FrameType::kSubmit:
-      send(conn, net::FrameType::kError,
-           "submits go to a shard endpoint; fetch the shard map first");
-      conn.close_after_flush = true;
+      server_.send_and_close(conn, net::FrameType::kError,
+                             "submits go to a shard endpoint; fetch the shard map first");
       break;
     default:
-      send(conn, net::FrameType::kError, "unexpected frame type for the supervisor endpoint");
-      conn.close_after_flush = true;
+      server_.send_and_close(conn, net::FrameType::kError,
+                             "unexpected frame type for the supervisor endpoint");
       break;
   }
-  flush(conn);
-}
-
-void ShardService::send(ClientConn& conn, net::FrameType type, const std::string& payload) {
-  encode_frame(type, payload, conn.backlog);
-}
-
-void ShardService::flush(ClientConn& conn) {
-  while (conn.backlog_pos < conn.backlog.size()) {
-    const ssize_t put = net::write_some(conn.fd.get(), conn.backlog.data() + conn.backlog_pos,
-                                        conn.backlog.size() - conn.backlog_pos);
-    if (put < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        (void)loop_.modify(conn.fd.get(), net::kEventRead | net::kEventWrite);
-        return;
-      }
-      close_client(conn.serial);
-      return;
-    }
-    conn.backlog_pos += static_cast<std::size_t>(put);
-  }
-  conn.backlog.clear();
-  conn.backlog_pos = 0;
-  if (conn.close_after_flush) {
-    close_client(conn.serial);
-    return;
-  }
-  (void)loop_.modify(conn.fd.get(), net::kEventRead);
-}
-
-void ShardService::close_client(std::uint64_t serial) {
-  const auto it = clients_.find(serial);
-  if (it == clients_.end()) return;
-  loop_.remove(it->second.fd.get());
-  clients_.erase(it);
 }
 
 int ShardService::run_once(int timeout_ms) { return loop_.run_once(timeout_ms); }

@@ -21,12 +21,11 @@
 #include <cstdint>
 #include <string>
 #include <sys/types.h>
-#include <unordered_map>
 #include <vector>
 
 #include "net/client.h"
 #include "net/event_loop.h"
-#include "net/fd.h"
+#include "net/frame_server.h"
 #include "net/socket.h"
 #include "service/gateway.h"
 
@@ -101,33 +100,17 @@ class ShardService {
     net::Connection control;  ///< blocking framed socketpair to the child
   };
 
-  struct ClientConn {
-    net::Fd fd;
-    std::uint64_t serial = 0;
-    net::FrameReader reader;
-    std::vector<std::uint8_t> backlog;  ///< single-threaded: no outbox needed
-    std::size_t backlog_pos = 0;
-    bool close_after_flush = false;
-  };
-
   [[nodiscard]] bool fork_shard(std::size_t k);
   void reap_children();
   void handle_signals();
-  void accept_ready();
-  void client_event(std::uint64_t serial, unsigned events);
-  void dispatch(ClientConn& conn, const net::Frame& frame);
-  void send(ClientConn& conn, net::FrameType type, const std::string& payload);
-  void flush(ClientConn& conn);
-  void close_client(std::uint64_t serial);
+  void dispatch(net::FrameServer::Conn& conn, const net::Frame& frame);
   void reload_from_file();
 
   ShardServiceConfig cfg_;
   std::string error_;
   net::EventLoop loop_;
-  net::Fd listener_;
+  net::FrameServer server_;  ///< the supervisor endpoint's clients
   std::vector<ShardProc> procs_;
-  std::unordered_map<std::uint64_t, ClientConn> clients_;
-  std::uint64_t next_serial_ = 1;
   std::uint64_t restarts_ = 0;
   bool draining_ = false;
   bool started_ = false;

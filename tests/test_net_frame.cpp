@@ -1,15 +1,21 @@
 // Wire-protocol robustness: header validation, payload codecs, the
-// incremental FrameReader fed at every possible byte boundary, and a
+// incremental FrameReader fed at every possible byte boundary, the
+// blocking Connection reading frames off a real socket, and a
 // deterministic malformed-frame fuzz that must never crash or accept a
 // corrupted frame.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <sys/socket.h>
+#include <thread>
 #include <vector>
 
+#include "net/client.h"
 #include "net/frame.h"
+#include "net/stream.h"
 #include "stats/rng.h"
 #include "trace/store_io.h"
 
@@ -226,6 +232,88 @@ TEST(NetFrame, ReaderRejectsCorruptPayloadChecksum) {
   Frame f;
   EXPECT_EQ(reader.next(f), FrameReader::Result::kBad);
   EXPECT_EQ(reader.error(), FrameError::kBadChecksum);
+}
+
+/// A Connection adopting one end of a socketpair; the test writes raw
+/// bytes into the other end.
+struct SocketPairConnection {
+  Connection conn;
+  Fd peer;
+
+  SocketPairConnection() {
+    int sv[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+    conn.adopt(Fd(sv[0]));
+    peer.reset(sv[1]);
+  }
+  bool write(const std::uint8_t* data, std::size_t len) {
+    return write_all(peer.get(), data, len);
+  }
+};
+
+TEST(NetFrame, ConnectionRecvOverSocketPair) {
+  Frame f;
+  {
+    // Three frames in one write come back one recv at each, then a
+    // close between frames is a clean EOF.
+    SocketPairConnection sp;
+    std::vector<std::uint8_t> three = frame_of(FrameType::kSubmit, "one");
+    encode_frame(FrameType::kAnswer, std::string(300, 'x'), three);
+    encode_frame(FrameType::kDrainReply, std::string(), three);
+    ASSERT_TRUE(sp.write(three.data(), three.size()));
+    ASSERT_TRUE(sp.conn.recv(f)) << sp.conn.error();
+    EXPECT_EQ(f.type, FrameType::kSubmit);
+    EXPECT_EQ(std::string(f.payload.begin(), f.payload.end()), "one");
+    ASSERT_TRUE(sp.conn.recv(f)) << sp.conn.error();
+    EXPECT_EQ(f.type, FrameType::kAnswer);
+    EXPECT_EQ(f.payload.size(), 300u);
+    ASSERT_TRUE(sp.conn.recv(f)) << sp.conn.error();
+    EXPECT_EQ(f.type, FrameType::kDrainReply);
+    EXPECT_TRUE(f.payload.empty());
+    sp.peer.reset();
+    EXPECT_FALSE(sp.conn.recv(f));
+    EXPECT_TRUE(sp.conn.eof());
+    EXPECT_TRUE(sp.conn.error().empty()) << sp.conn.error();
+  }
+  {
+    // One frame split inside the header and inside the payload, with a
+    // pause between writes: recv blocks until the frame is whole.
+    SocketPairConnection sp;
+    const std::vector<std::uint8_t> bytes = frame_of(FrameType::kTelemetryReply, "split payload");
+    const std::size_t cuts[] = {0, 10, kFrameHeaderBytes + 3, bytes.size()};
+    std::thread writer([&] {
+      for (std::size_t i = 0; i + 1 < std::size(cuts); ++i) {
+        if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        EXPECT_TRUE(sp.write(bytes.data() + cuts[i], cuts[i + 1] - cuts[i]));
+      }
+    });
+    const bool got = sp.conn.recv(f);
+    writer.join();
+    ASSERT_TRUE(got) << sp.conn.error();
+    EXPECT_EQ(f.type, FrameType::kTelemetryReply);
+    EXPECT_EQ(std::string(f.payload.begin(), f.payload.end()), "split payload");
+  }
+  {
+    // A corrupted checksum is an error, not an EOF, and closes.
+    SocketPairConnection sp;
+    std::vector<std::uint8_t> bytes = frame_of(FrameType::kReload, "spec");
+    bytes[kFrameHeaderBytes] ^= 0x80;
+    ASSERT_TRUE(sp.write(bytes.data(), bytes.size()));
+    EXPECT_FALSE(sp.conn.recv(f));
+    EXPECT_FALSE(sp.conn.eof());
+    EXPECT_NE(sp.conn.error().find("checksum"), std::string::npos) << sp.conn.error();
+    EXPECT_FALSE(sp.conn.connected());
+  }
+  {
+    // EOF in the middle of a header is an error, not a clean EOF.
+    SocketPairConnection sp;
+    const std::vector<std::uint8_t> bytes = frame_of(FrameType::kSubmit, "cut");
+    ASSERT_TRUE(sp.write(bytes.data(), 10));
+    sp.peer.reset();
+    EXPECT_FALSE(sp.conn.recv(f));
+    EXPECT_FALSE(sp.conn.eof());
+    EXPECT_FALSE(sp.conn.error().empty());
+  }
 }
 
 // Deterministic fuzz: random mutations of valid frames plus pure-noise

@@ -1,12 +1,16 @@
 // Shard lifecycle over real sockets: a standalone ShardServer driven
 // end-to-end through UDS connections (submit/answer correlation, the
 // exactly-once drain contract, reload preserving session ε budgets,
-// protocol violations answered with kError + close), arena-backed audit
+// protocol violations answered with kError + close, a slow reader
+// throttled without stalling other clients), arena-backed audit
 // storage, and the multi-process ShardService supervisor (shard map,
-// aggregated telemetry, crash + restart + client re-route, drain).
+// aggregated telemetry, protocol violations, crash + restart + client
+// re-route, drain).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <poll.h>
@@ -271,6 +275,89 @@ TEST(ShardServer, ProtocolViolationsGetErrorFrameAndClose) {
   fx.drain_and_join();
 }
 
+TEST(ShardServer, SlowReaderIsThrottledWhileOthersAreServed) {
+  ShardFixture fx(standalone_config("slow"));
+  net::Connection slow;
+  ASSERT_TRUE(slow.connect(fx.server.endpoint()));
+
+  // ~86 B per answer frame: 40k unread answers are far past the 1 MiB
+  // high-water mark plus both socket buffers.
+  constexpr int kReports = 40000;
+  constexpr int kBatch = 64;
+  std::atomic<int> sent{0};
+  std::thread writer([&] {
+    std::vector<std::uint8_t> batch;
+    std::vector<std::uint8_t> payload;
+    for (int i = 0; i < kReports; i += kBatch) {
+      batch.clear();
+      for (int j = i; j < std::min(i + kBatch, kReports); ++j) {
+        net::SubmitPayload p;
+        p.tag = static_cast<std::uint64_t>(j);
+        p.user_id = "slow-" + std::to_string(j % 64);
+        p.event = event_at(j, 1.0, 2.0);
+        payload.clear();
+        net::encode_submit(p, payload);
+        net::encode_frame(net::FrameType::kSubmit, payload.data(), payload.size(), batch);
+      }
+      if (!net::write_all(slow.fd(), batch.data(), batch.size())) {
+        ADD_FAILURE() << "slow writer: write failed";
+        return;
+      }
+      sent.store(std::min(i + kBatch, kReports));
+    }
+  });
+
+  // The slow connection reads nothing. Its answers pile up in the shard
+  // until the shard stops reading it, so the writer stalls short of the
+  // end: no progress for a full second.
+  int last = -1;
+  auto since = std::chrono::steady_clock::now();
+  const auto deadline = since + std::chrono::seconds(60);
+  while (sent.load() < kReports && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const int now_sent = sent.load();
+    if (now_sent != last) {
+      last = now_sent;
+      since = std::chrono::steady_clock::now();
+    } else if (std::chrono::steady_clock::now() - since > std::chrono::seconds(1)) {
+      break;
+    }
+  }
+  EXPECT_LT(sent.load(), kReports) << "the shard kept reading a client that reads nothing";
+
+  // Meanwhile another client is served.
+  {
+    net::Connection other;
+    ASSERT_TRUE(other.connect(fx.server.endpoint()));
+    net::SubmitPayload p;
+    p.tag = 7;
+    p.user_id = "other";
+    p.event = event_at(0, 3.0, 4.0);
+    ASSERT_TRUE(other.send_submit(p));
+    net::Frame frame;
+    ASSERT_TRUE(other.recv(frame)) << other.error();
+    ASSERT_EQ(frame.type, net::FrameType::kAnswer);
+    const auto a = net::decode_answer(frame.payload.data(), frame.payload.size());
+    ASSERT_TRUE(a.has_value());
+    EXPECT_EQ(a->tag, 7u);
+  }
+
+  // Reading resumes the writer; every tag is answered exactly once.
+  std::vector<int> answered(kReports, 0);
+  for (int i = 0; i < kReports; ++i) {
+    net::Frame frame;
+    ASSERT_TRUE(slow.recv(frame)) << slow.error();
+    ASSERT_EQ(frame.type, net::FrameType::kAnswer);
+    const auto a = net::decode_answer(frame.payload.data(), frame.payload.size());
+    ASSERT_TRUE(a.has_value());
+    ASSERT_LT(a->tag, static_cast<std::uint64_t>(kReports));
+    ++answered[a->tag];
+  }
+  writer.join();
+  EXPECT_EQ(std::count(answered.begin(), answered.end(), 1), kReports);
+  fx.drain_and_join();
+}
+
 TEST(ShardServer, ArenaAuditBorrowsMappedOriginals) {
   trace::Dataset d;
   d.add(trace::Trace("cab-000", {{0, {10.5, -20.25}}, {60, {11.0, -21.0}}}));
@@ -328,18 +415,22 @@ TEST(ShardServer, ArenaAuditBorrowsMappedOriginals) {
 
 // ---------------------------------------------------------- supervisor
 
-/// Sends one frame to the in-process supervisor, pumps its
-/// single-threaded loop until the reply bytes reach the socket, then
-/// reads it. (The supervisor must stay single-threaded — fork safety —
-/// so tests drive run_once instead of a loop thread.)
-bool supervisor_request(ShardService& svc, net::Connection& conn, net::FrameType type,
-                        const std::string& payload, net::Frame& reply) {
-  if (!conn.send(type, payload)) return false;
+/// Pumps the in-process supervisor's single-threaded loop until reply
+/// bytes reach `conn`. (The supervisor must stay single-threaded — fork
+/// safety — so tests drive run_once instead of a loop thread.)
+void pump_until_readable(ShardService& svc, const net::Connection& conn) {
   for (int i = 0; i < 500; ++i) {
     (void)svc.run_once(10);
     struct pollfd p = {conn.fd(), POLLIN, 0};
-    if (::poll(&p, 1, 0) == 1) break;
+    if (::poll(&p, 1, 0) == 1) return;
   }
+}
+
+/// Sends one frame to the in-process supervisor and reads its reply.
+bool supervisor_request(ShardService& svc, net::Connection& conn, net::FrameType type,
+                        const std::string& payload, net::Frame& reply) {
+  if (!conn.send(type, payload)) return false;
+  pump_until_readable(svc, conn);
   return conn.recv(reply);
 }
 
@@ -432,6 +523,47 @@ TEST(ShardService, ServesShardMapRoutesSubmitsAndAggregatesTelemetry) {
 
   svc.drain();
   EXPECT_TRUE(svc.draining());
+}
+
+TEST(ShardService, SupervisorProtocolViolationsGetErrorFrameAndClose) {
+  const ShardServiceConfig cfg = supervisor_config("svc_proto", 1);
+  ShardService svc(cfg);
+  ASSERT_TRUE(svc.start()) << svc.error();
+
+  const auto expect_error_then_eof = [&](const std::vector<std::uint8_t>& bytes,
+                                         const std::string& label) {
+    net::Connection conn;
+    ASSERT_TRUE(conn.connect(cfg.listen));
+    ASSERT_TRUE(net::write_all(conn.fd(), bytes.data(), bytes.size()));
+    pump_until_readable(svc, conn);
+    net::Frame frame;
+    ASSERT_TRUE(conn.recv(frame)) << label << ": " << conn.error();
+    EXPECT_EQ(frame.type, net::FrameType::kError) << label;
+    EXPECT_FALSE(conn.recv(frame)) << label;
+    EXPECT_TRUE(conn.eof()) << label;
+  };
+
+  // Garbage bytes: framing lost at the magic.
+  expect_error_then_eof(std::vector<std::uint8_t>(64, 0xab), "garbage");
+  // A well-formed submit belongs on a shard endpoint.
+  std::vector<std::uint8_t> submit;
+  net::SubmitPayload p;
+  p.tag = 1;
+  p.user_id = "misrouted";
+  std::vector<std::uint8_t> payload;
+  net::encode_submit(p, payload);
+  net::encode_frame(net::FrameType::kSubmit, payload.data(), payload.size(), submit);
+  expect_error_then_eof(submit, "submit on supervisor");
+
+  // The supervisor survived both and serves a new connection.
+  net::Connection sup;
+  ASSERT_TRUE(sup.connect(cfg.listen));
+  net::Frame reply;
+  ASSERT_TRUE(supervisor_request(svc, sup, net::FrameType::kShardMapReq, "", reply))
+      << sup.error();
+  EXPECT_EQ(reply.type, net::FrameType::kShardMapReply);
+
+  svc.drain();
 }
 
 TEST(ShardService, CrashedShardIsRestartedAndClientsReroute) {

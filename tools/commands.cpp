@@ -155,6 +155,45 @@ void maybe_write_trace(const io::ParsedArgs& parsed) {
 
 }  // namespace
 
+void add_gateway_options(io::ArgParser& parser) {
+  parser.add({.name = "queue-capacity", .help = "per-worker queue slots (backpressure bound)",
+              .default_value = "1024"})
+      .add({.name = "max-sessions", .help = "per-stripe session cap (0 = unbounded)",
+            .default_value = "4096"})
+      .add({.name = "idle-timeout",
+            .help = "evict sessions idle this many stream-seconds (0 = never)",
+            .default_value = "0"})
+      .add({.name = "epsilon", .help = "Geo-I epsilon per report", .default_value = "0.02"})
+      .add({.name = "budget-reports", .help = "ε budget per window, in reports",
+            .default_value = "30"})
+      .add({.name = "window", .help = "budget sliding window, seconds", .default_value = "3600"})
+      .add({.name = "downstream-us", .help = "simulated LBS round-trip per delivery, microseconds",
+            .default_value = "0"})
+      .add({.name = "faults",
+            .help = "fault-injection spec, e.g. fail=0.25,latency_p=0.1,latency_us=3000 "
+                    "(keys: fail, latency_p, latency_us, stall_p, stall_us, skew_p, skew_s, "
+                    "burst_p, burst_len)"})
+      .add({.name = "objectives",
+            .help = "closed-loop ε control objectives, e.g. pr=0.8,pr_tol=0.3,period_n=24 "
+                    "(keys: pr, pr_tol, ut, ut_tol, pr_metric, ut_metric, period_n, period_s, "
+                    "window_n, window_s, min_n, max_step, cooldown_s, eps_min, eps_max, "
+                    "pr_slope, ut_slope)"});
+}
+
+void read_gateway_options(const io::ParsedArgs& parsed, service::GatewayConfig& cfg) {
+  cfg.queue_capacity = static_cast<std::size_t>(parsed.get_int("queue-capacity"));
+  cfg.sessions.max_sessions_per_shard = static_cast<std::size_t>(parsed.get_int("max-sessions"));
+  cfg.sessions.idle_timeout_s = parsed.get_int("idle-timeout");
+  cfg.epsilon = parsed.get_double("epsilon");
+  cfg.budget_eps = cfg.epsilon * parsed.get_double("budget-reports");
+  cfg.budget_window_s = parsed.get_int("window");
+  cfg.downstream_latency = std::chrono::microseconds(parsed.get_int("downstream-us"));
+  if (parsed.has("faults")) cfg.faults = service::parse_fault_spec(parsed.get("faults"));
+  if (parsed.has("objectives")) {
+    cfg.objectives = service::adaptive::parse_objective_spec(parsed.get("objectives"));
+  }
+}
+
 int cmd_generate(const Args& args) {
   io::ArgParser parser("generate", "synthesize a mobility dataset and write it as CSV");
   parser.add({.name = "scenario", .help = "taxi | commuter", .default_value = "taxi"})
@@ -638,26 +677,9 @@ int cmd_serve_sim(const Args& args) {
       .add({.name = "users", .help = "synthetic workload: number of users",
             .default_value = "12"})
       .add({.name = "shards", .help = "session-manager shard count", .default_value = "8"})
-      .add({.name = "queue-capacity", .help = "per-worker queue slots (backpressure bound)",
-            .default_value = "1024"})
-      .add({.name = "epsilon", .help = "Geo-I epsilon per report", .default_value = "0.02"})
-      .add({.name = "budget-reports", .help = "ε budget per window, in reports",
-            .default_value = "30"})
-      .add({.name = "window", .help = "budget sliding window, seconds", .default_value = "3600"})
-      .add({.name = "idle-timeout",
-            .help = "evict sessions idle this many stream-seconds (0 = never)",
-            .default_value = "0"})
-      .add({.name = "max-sessions", .help = "per-shard session cap (0 = unbounded)",
-            .default_value = "4096"})
       .add({.name = "rate",
             .help = "stream-seconds replayed per wall-second (0 = flat out)",
             .default_value = "0"})
-      .add({.name = "downstream-us", .help = "simulated LBS round-trip per delivery, microseconds",
-            .default_value = "0"})
-      .add({.name = "faults",
-            .help = "fault-injection spec, e.g. fail=0.25,latency_p=0.1,latency_us=3000 "
-                    "(keys: fail, latency_p, latency_us, stall_p, stall_us, skew_p, skew_s, "
-                    "burst_p, burst_len)"})
       .add({.name = "fault-seed", .help = "fault schedule seed (0 = derive from --seed)",
             .default_value = "0"})
       .add({.name = "policy", .help = "degradation policy: retry | suppress | fallback_cloak",
@@ -675,12 +697,8 @@ int cmd_serve_sim(const Args& args) {
             .default_value = "5000"})
       .add({.name = "audit", .help = "evaluate the metrics on delivered vs original reports",
             .is_flag = true})
-      .add({.name = "objectives",
-            .help = "closed-loop ε control objectives, e.g. pr=0.8,pr_tol=0.3,period_n=24 "
-                    "(keys: pr, pr_tol, ut, ut_tol, pr_metric, ut_metric, period_n, period_s, "
-                    "window_n, window_s, min_n, max_step, cooldown_s, eps_min, eps_max, "
-                    "pr_slope, ut_slope)"})
       .add({.name = "out", .help = "write the telemetry snapshot JSON here"});
+  add_gateway_options(parser);
   add_eval_options(parser, {.seed = "2016",
                             .seed_help = "workload + noise seed",
                             .threads = "4",
@@ -710,17 +728,10 @@ int cmd_serve_sim(const Args& args) {
   }
 
   service::GatewayConfig cfg;
+  read_gateway_options(parsed, cfg);
   cfg.workers = static_cast<std::size_t>(parsed.get_int("threads"));
-  cfg.queue_capacity = static_cast<std::size_t>(parsed.get_int("queue-capacity"));
   cfg.sessions.shard_count = static_cast<std::size_t>(parsed.get_int("shards"));
-  cfg.sessions.idle_timeout_s = parsed.get_int("idle-timeout");
-  cfg.sessions.max_sessions_per_shard = static_cast<std::size_t>(parsed.get_int("max-sessions"));
-  cfg.epsilon = parsed.get_double("epsilon");
-  cfg.budget_eps = cfg.epsilon * parsed.get_double("budget-reports");
-  cfg.budget_window_s = parsed.get_int("window");
   cfg.seed = static_cast<std::uint64_t>(parsed.get_int("seed"));
-  cfg.downstream_latency = std::chrono::microseconds(parsed.get_int("downstream-us"));
-  if (parsed.has("faults")) cfg.faults = service::parse_fault_spec(parsed.get("faults"));
   cfg.fault_seed = static_cast<std::uint64_t>(parsed.get_int("fault-seed"));
   cfg.resilience.policy = service::parse_degrade_policy(parsed.get("policy"));
   cfg.resilience.max_retries = static_cast<std::uint32_t>(parsed.get_int("max-retries"));
@@ -729,9 +740,6 @@ int cmd_serve_sim(const Args& args) {
       static_cast<std::uint32_t>(parsed.get_int("breaker-threshold"));
   cfg.resilience.breaker.cooldown_s = parsed.get_int("breaker-cooldown");
   cfg.resilience.fallback_cell_m = parsed.get_double("fallback-cell");
-  if (parsed.has("objectives")) {
-    cfg.objectives = service::adaptive::parse_objective_spec(parsed.get("objectives"));
-  }
 
   std::cout << "serve-sim: " << data.size() << " users, " << data.total_events() << " events | "
             << cfg.workers << " workers, " << cfg.sessions.shard_count << " shards, queue "

@@ -5,9 +5,24 @@
 #include <string>
 #include <vector>
 
+namespace locpriv::io {
+class ArgParser;
+class ParsedArgs;
+}  // namespace locpriv::io
+namespace locpriv::service {
+struct GatewayConfig;
+}  // namespace locpriv::service
+
 namespace locpriv::cli {
 
 using Args = std::vector<std::string>;
+
+/// The gateway flags serve-sim and serve spell identically:
+/// --queue-capacity, --max-sessions, --idle-timeout, --epsilon,
+/// --budget-reports, --window, --downstream-us, --faults, --objectives.
+void add_gateway_options(io::ArgParser& parser);
+/// Fills the GatewayConfig fields those flags set.
+void read_gateway_options(const io::ParsedArgs& parsed, service::GatewayConfig& cfg);
 
 /// Synthesizes a dataset and writes it as CSV.
 int cmd_generate(const Args& args);

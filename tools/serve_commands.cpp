@@ -13,9 +13,7 @@
 #include "io/table.h"
 #include "net/client.h"
 #include "net/socket.h"
-#include "service/adaptive/objective.h"
 #include "service/gateway.h"
-#include "service/resilience/fault_plan.h"
 #include "service/shard/shard_service.h"
 
 namespace locpriv::cli {
@@ -38,27 +36,14 @@ int cmd_serve(const Args& args) {
       .add({.name = "shards", .help = "gateway worker processes", .default_value = "4"})
       .add({.name = "data", .help = "binary .lpds dataset to map read-only in every shard"})
       .add({.name = "workers", .help = "gateway worker threads per shard", .default_value = "2"})
-      .add({.name = "queue-capacity", .help = "per-worker queue slots", .default_value = "1024"})
       .add({.name = "session-shards", .help = "session-manager stripe count per shard",
             .default_value = "8"})
-      .add({.name = "max-sessions", .help = "per-stripe session cap (0 = unbounded)",
-            .default_value = "4096"})
-      .add({.name = "idle-timeout",
-            .help = "evict sessions idle this many stream-seconds (0 = never)",
-            .default_value = "0"})
-      .add({.name = "epsilon", .help = "Geo-I epsilon per report", .default_value = "0.02"})
-      .add({.name = "budget-reports", .help = "ε budget per window, in reports",
-            .default_value = "30"})
-      .add({.name = "window", .help = "budget sliding window, seconds", .default_value = "3600"})
-      .add({.name = "downstream-us",
-            .help = "simulated LBS round-trip per delivery, microseconds", .default_value = "0"})
-      .add({.name = "faults", .help = "fault-injection spec (see serve-sim --help)"})
-      .add({.name = "objectives", .help = "closed-loop ε objectives (see serve-sim --help)"})
       .add({.name = "seed", .help = "noise seed", .default_value = "2016"})
       .add({.name = "audit", .help = "arena-backed delivered-vs-original audit per shard",
             .is_flag = true})
       .add({.name = "reload-file",
             .help = "JSON re-read on SIGHUP: {\"faults\": spec, \"objectives\": spec}"});
+  add_gateway_options(parser);
   const io::ParsedArgs parsed = parser.parse(args);
 
   service::shard::ShardServiceConfig cfg;
@@ -69,20 +54,10 @@ int cmd_serve(const Args& args) {
   if (parsed.has("reload-file")) cfg.reload_file = parsed.get("reload-file");
 
   service::GatewayConfig& gw = cfg.gateway;
+  read_gateway_options(parsed, gw);
   gw.workers = static_cast<std::size_t>(parsed.get_int("workers"));
-  gw.queue_capacity = static_cast<std::size_t>(parsed.get_int("queue-capacity"));
   gw.sessions.shard_count = static_cast<std::size_t>(parsed.get_int("session-shards"));
-  gw.sessions.max_sessions_per_shard = static_cast<std::size_t>(parsed.get_int("max-sessions"));
-  gw.sessions.idle_timeout_s = parsed.get_int("idle-timeout");
-  gw.epsilon = parsed.get_double("epsilon");
-  gw.budget_eps = gw.epsilon * parsed.get_double("budget-reports");
-  gw.budget_window_s = parsed.get_int("window");
   gw.seed = static_cast<std::uint64_t>(parsed.get_int("seed"));
-  gw.downstream_latency = std::chrono::microseconds(parsed.get_int("downstream-us"));
-  if (parsed.has("faults")) gw.faults = service::parse_fault_spec(parsed.get("faults"));
-  if (parsed.has("objectives")) {
-    gw.objectives = service::adaptive::parse_objective_spec(parsed.get("objectives"));
-  }
 
   service::shard::ShardService supervisor(cfg);
   if (!supervisor.start()) {
@@ -114,8 +89,9 @@ int cmd_ping(const Args& args) {
       .add({.name = "y", .help = "report y, meters", .default_value = "200"})
       .add({.name = "time", .help = "report timestamp, stream-seconds", .default_value = "0"})
       .add({.name = "count", .help = "reports to submit", .default_value = "1"})
-      .add({.name = "telemetry", .help = "print the aggregated telemetry JSON", .is_flag = true})
-      .add({.name = "drain", .help = "drain and stop the service", .is_flag = true});
+      .add({.name = "telemetry", .help = "print only the aggregated telemetry JSON (no submits)",
+            .is_flag = true})
+      .add({.name = "drain", .help = "drain and stop the service (no submits)", .is_flag = true});
   const io::ParsedArgs parsed = parser.parse(args);
 
   const net::Endpoint supervisor = parse_endpoint_arg(parsed.get("connect"));
@@ -124,9 +100,11 @@ int cmd_ping(const Args& args) {
     std::cerr << "ping: " << client.error() << "\n";
     return 1;
   }
-  std::cout << "ping: " << client.map().shards << " shards via " << supervisor.to_string()
+  std::cerr << "ping: " << client.map().shards << " shards via " << supervisor.to_string()
             << "\n";
 
+  // --drain and --telemetry submit nothing, so the counters they see
+  // are the service's own; --telemetry prints only the JSON.
   if (parsed.get_flag("drain")) {
     std::string reply;
     if (!client.supervisor().request(net::FrameType::kDrainReq, "", net::FrameType::kDrainReply,
@@ -135,6 +113,16 @@ int cmd_ping(const Args& args) {
       return 1;
     }
     std::cout << "drained: " << reply << "\n";
+    return 0;
+  }
+  if (parsed.get_flag("telemetry")) {
+    std::string reply;
+    if (!client.supervisor().request(net::FrameType::kTelemetryReq, "",
+                                     net::FrameType::kTelemetryReply, reply)) {
+      std::cerr << "ping: telemetry: " << client.supervisor().error() << "\n";
+      return 1;
+    }
+    std::cout << reply << "\n";
     return 0;
   }
 
@@ -171,16 +159,6 @@ int cmd_ping(const Args& args) {
                 << service::to_string(answer.status) << point.str() << ", round-trip "
                 << io::Table::num(ms, 2) << " ms\n";
     }
-  }
-
-  if (parsed.get_flag("telemetry")) {
-    std::string reply;
-    if (!client.supervisor().request(net::FrameType::kTelemetryReq, "",
-                                     net::FrameType::kTelemetryReply, reply)) {
-      std::cerr << "ping: telemetry: " << client.supervisor().error() << "\n";
-      return 1;
-    }
-    std::cout << reply << "\n";
   }
   return 0;
 }

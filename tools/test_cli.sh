@@ -53,16 +53,23 @@ SOCK="$DIR/locpriv-cli.sock"
 SERVE_PID=$!
 PING_OK=0
 for _ in $(seq 1 50); do
-  if "$CLI" ping --connect "unix:$SOCK" --user smoke --count 3 > "$DIR/ping.txt" 2>/dev/null; then
+  if "$CLI" ping --connect "unix:$SOCK" --user smoke --count 3 > "$DIR/ping.txt" \
+      2> "$DIR/ping_err.txt"; then
     PING_OK=1; break
   fi
   sleep 0.2
 done
 [ "$PING_OK" = 1 ] || { echo "serve never became pingable"; kill "$SERVE_PID"; exit 1; }
-grep -q "2 shards via" "$DIR/ping.txt"
+grep -q "2 shards via" "$DIR/ping_err.txt"
 grep -q "3 reports answered, last status delivered" "$DIR/ping.txt"
-"$CLI" ping --connect "unix:$SOCK" --telemetry --count 0 > "$DIR/ping_telemetry.txt"
-grep -q "resident_set_kb_per_shard" "$DIR/ping_telemetry.txt"
+# --telemetry submits nothing and its stdout is exactly the aggregate
+# JSON, which counts the three reports above and no probe of its own.
+"$CLI" ping --connect "unix:$SOCK" --telemetry > "$DIR/ping_telemetry.txt" 2>/dev/null
+python3 -c 'import json,sys
+t = json.load(open(sys.argv[1]))
+assert t["aggregate"]["received"] == 3, t["aggregate"]
+assert len(t["aggregate"]["resident_set_kb_per_shard"]) == 2, t["aggregate"]' \
+  "$DIR/ping_telemetry.txt"
 "$CLI" ping --connect "unix:$SOCK" --drain > "$DIR/ping_drain.txt"
 grep -q "drained" "$DIR/ping_drain.txt"
 wait "$SERVE_PID"
