@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
   const bool smoke = preset == "smoke";
 
   BenchParams p;
-  p.split_seed = static_cast<std::uint64_t>(args.get_int("split-seed"));
+  p.split_seed = args.get_int<std::uint64_t>("split-seed");
   if (smoke) {
     p.commuters = 10;
     p.mixed_per_kind = 4;

@@ -3,9 +3,8 @@
 // 4-shard fleet on the same per-report work.
 //
 // Every delivered report pays a simulated downstream LBS round-trip, so
-// — exactly like bench_service_throughput, but now across PROCESS
-// boundaries — aggregate throughput scales with shard count because the
-// shards overlap their downstream waits even on one core. Each shard
+// aggregate throughput scales with shard count because the shard
+// processes overlap their downstream waits even on one core. Each shard
 // maps the same read-only .lpds dataset; the per-shard RSS sampled
 // right after the maps (before any load) is committed as evidence that
 // N maps of one dataset cost one dataset of pages, not N.
@@ -345,7 +344,7 @@ int main(int argc, char** argv) {
   }
   if (args.get_int("downstream-us") >= 0) p.downstream_us = args.get_int("downstream-us");
   if (args.get_int("users") > 0) {
-    p.sharded_users = static_cast<std::size_t>(args.get_int("users"));
+    p.sharded_users = args.get_int<std::size_t>("users");
     p.single_users = p.sharded_users / 8;
   }
 

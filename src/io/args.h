@@ -5,9 +5,13 @@
 // errors (catching typos beats silently ignoring them).
 #pragma once
 
+#include <concepts>
+#include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace locpriv::io {
@@ -19,10 +23,6 @@ struct ArgSpec {
   bool is_flag = false;     ///< true: presence-only, no value
   bool required = false;
   std::optional<std::string> default_value;
-  /// Old spellings still accepted for this option. Each use prints a
-  /// one-line deprecation warning to stderr and stores the value under
-  /// the canonical name.
-  std::vector<std::string> deprecated_aliases;
 };
 
 /// Parsed result with typed accessors. Accessors throw std::runtime_error
@@ -34,11 +34,25 @@ class ParsedArgs {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] const std::string& get(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
-  [[nodiscard]] long long get_int(const std::string& name) const;
+  /// The option as an integer of the type it sets; a value T cannot
+  /// hold (e.g. -1 for a count) is a usage error naming the option.
+  template <std::integral T = long long>
+  [[nodiscard]] T get_int(const std::string& name) const {
+    const long long v = get_int64(name);
+    if (!std::in_range<T>(v)) {
+      throw std::runtime_error("option --" + name + ": " + std::to_string(v) +
+                               " is out of range [" +
+                               std::to_string(std::numeric_limits<T>::min()) + ", " +
+                               std::to_string(std::numeric_limits<T>::max()) + "]");
+    }
+    return static_cast<T>(v);
+  }
   [[nodiscard]] bool get_flag(const std::string& name) const;
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  [[nodiscard]] long long get_int64(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

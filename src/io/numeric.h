@@ -10,6 +10,9 @@
 // convention ('.' decimal point, no grouping).
 #pragma once
 
+#include <cmath>
+#include <concepts>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -24,6 +27,18 @@ namespace locpriv::io {
 
 /// Parses a decimal signed 64-bit integer from the whole of `s`.
 [[nodiscard]] std::optional<long long> parse_int64(std::string_view s);
+
+/// `v` as a T when it is a whole number T can hold, else nullopt (NaN,
+/// infinities, fractions, out of range). The range check comes before
+/// the cast: casting a double outside T's range is undefined behaviour.
+template <std::integral T>
+[[nodiscard]] std::optional<T> to_integer(double v) {
+  // 2^digits is max(T) + 1, a power of two every double holds exactly.
+  const double end = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double begin = std::numeric_limits<T>::is_signed ? -end : 0.0;
+  if (!(v >= begin && v < end) || v != std::trunc(v)) return std::nullopt;
+  return static_cast<T>(v);
+}
 
 /// Parses a double from the front of `s`, returning the number of
 /// characters consumed through `consumed` (0 on failure). The partial

@@ -32,7 +32,6 @@ class ComposedMechanism final : public Mechanism {
   [[nodiscard]] double parameter(const std::string& param) const override;
   [[nodiscard]] trace::Trace protect(const trace::Trace& input, std::uint64_t seed) const override;
 
-  [[nodiscard]] std::size_t stage_count() const { return stages_.size(); }
   [[nodiscard]] const Mechanism& stage(std::size_t i) const { return *stages_.at(i); }
 
  private:

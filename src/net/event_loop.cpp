@@ -87,6 +87,10 @@ bool EventLoop::add(int fd, unsigned interest, Callback cb) {
 bool EventLoop::modify(int fd, unsigned interest) {
   const auto it = entries_.find(fd);
   if (it == entries_.end()) return false;
+  // Level-triggered, so an unchanged mask needs no re-arm. Skipping it
+  // saves the epoll_ctl that FrameServer::flush_all() would otherwise
+  // issue for every connection on every wakeup.
+  if (it->second.interest == interest) return true;
 #ifdef __linux__
   if (backend_ == Backend::kEpoll) {
     struct epoll_event ev = {};

@@ -1,10 +1,6 @@
 #include "service/adaptive/objective.h"
 
-#include <optional>
-#include <sstream>
 #include <stdexcept>
-
-#include "io/numeric.h"
 
 namespace locpriv::service::adaptive {
 
@@ -51,118 +47,13 @@ void ObjectiveSpec::validate() const {
 }
 
 ObjectiveSpec parse_objective_spec(std::string_view spec) {
-  ObjectiveSpec out;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string_view::npos) comma = spec.size();
-    const std::string_view item = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::invalid_argument("objective spec: expected key=value, got '" + std::string(item) +
-                                  "'");
-    }
-    const std::string key(item.substr(0, eq));
-    const std::string value(item.substr(eq + 1));
-    if (key == "pr_metric") {
-      out.privacy_metric = value;
-      continue;
-    }
-    if (key == "ut_metric") {
-      out.utility_metric = value;
-      continue;
-    }
-    const std::optional<double> parsed = io::parse_double(value);
-    if (!parsed.has_value()) {
-      throw std::invalid_argument("objective spec: bad value for '" + key + "': '" + value + "'");
-    }
-    const double num = *parsed;
-    if (key == "pr") {
-      out.privacy_target = num;
-    } else if (key == "pr_tol") {
-      out.privacy_tol = num;
-    } else if (key == "ut") {
-      out.utility_target = num;
-    } else if (key == "ut_tol") {
-      out.utility_tol = num;
-    } else if (key == "period_n") {
-      out.period_reports = static_cast<std::size_t>(num);
-    } else if (key == "period_s") {
-      out.period_s = static_cast<trace::Timestamp>(num);
-    } else if (key == "window_n") {
-      out.window_pairs = static_cast<std::size_t>(num);
-    } else if (key == "window_s") {
-      out.window_s = static_cast<trace::Timestamp>(num);
-    } else if (key == "min_n") {
-      out.min_window_pairs = static_cast<std::size_t>(num);
-    } else if (key == "max_step") {
-      out.max_step = num;
-    } else if (key == "cooldown_s") {
-      out.cooldown_s = static_cast<trace::Timestamp>(num);
-    } else if (key == "eps_min") {
-      out.eps_min = num;
-    } else if (key == "eps_max") {
-      out.eps_max = num;
-    } else if (key == "pr_slope") {
-      out.prior_privacy_slope = num;
-    } else if (key == "ut_slope") {
-      out.prior_utility_slope = num;
-    } else {
-      throw std::invalid_argument(
-          "objective spec: unknown key '" + key +
-          "' (pr, pr_tol, ut, ut_tol, pr_metric, ut_metric, period_n, period_s, window_n, "
-          "window_s, min_n, max_step, cooldown_s, eps_min, eps_max, pr_slope, ut_slope)");
-    }
-  }
+  ObjectiveSpec out = io::parse_spec(spec, kObjectiveSpecKeys, "objective spec");
   out.validate();
   return out;
 }
 
 std::string to_string(const ObjectiveSpec& spec) {
-  const ObjectiveSpec defaults;
-  std::ostringstream os;
-  const char* sep = "";
-  const auto emit = [&](const char* key, const std::string& value) {
-    os << sep << key << '=' << value;
-    sep = ",";
-  };
-  const auto emit_num = [&](const char* key, double value) { emit(key, io::format_double(value)); };
-  if (spec.privacy_on()) {
-    emit_num("pr", spec.privacy_target);
-    emit_num("pr_tol", spec.privacy_tol);
-    if (spec.privacy_metric != defaults.privacy_metric) emit("pr_metric", spec.privacy_metric);
-  }
-  if (spec.utility_on()) {
-    emit_num("ut", spec.utility_target);
-    emit_num("ut_tol", spec.utility_tol);
-    if (spec.utility_metric != defaults.utility_metric) emit("ut_metric", spec.utility_metric);
-  }
-  if (spec.period_reports != defaults.period_reports) {
-    emit_num("period_n", static_cast<double>(spec.period_reports));
-  }
-  if (spec.period_s != defaults.period_s) emit_num("period_s", static_cast<double>(spec.period_s));
-  if (spec.window_pairs != defaults.window_pairs) {
-    emit_num("window_n", static_cast<double>(spec.window_pairs));
-  }
-  if (spec.window_s != defaults.window_s) emit_num("window_s", static_cast<double>(spec.window_s));
-  if (spec.min_window_pairs != defaults.min_window_pairs) {
-    emit_num("min_n", static_cast<double>(spec.min_window_pairs));
-  }
-  if (spec.max_step != defaults.max_step) emit_num("max_step", spec.max_step);
-  if (spec.cooldown_s != defaults.cooldown_s) {
-    emit_num("cooldown_s", static_cast<double>(spec.cooldown_s));
-  }
-  if (spec.eps_min != defaults.eps_min) emit_num("eps_min", spec.eps_min);
-  if (spec.eps_max != defaults.eps_max) emit_num("eps_max", spec.eps_max);
-  if (spec.prior_privacy_slope != defaults.prior_privacy_slope) {
-    emit_num("pr_slope", spec.prior_privacy_slope);
-  }
-  if (spec.prior_utility_slope != defaults.prior_utility_slope) {
-    emit_num("ut_slope", spec.prior_utility_slope);
-  }
-  return os.str();
+  return io::format_spec(spec, kObjectiveSpecKeys);
 }
 
 }  // namespace locpriv::service::adaptive

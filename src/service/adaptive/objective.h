@@ -15,6 +15,7 @@
 #include <string>
 #include <string_view>
 
+#include "io/spec.h"
 #include "trace/event.h"
 
 namespace locpriv::service::adaptive {
@@ -82,16 +83,35 @@ struct ObjectiveSpec {
   void validate() const;
 };
 
-/// Parses a comma-separated `key=value` spec, e.g.
-/// "pr=0.8,pr_tol=0.3,period_n=24,window_n=96,max_step=0.4,cooldown_s=600".
-/// Keys: pr, pr_tol, ut, ut_tol, pr_metric, ut_metric, period_n,
-/// period_s, window_n, window_s, min_n, max_step, cooldown_s, eps_min,
-/// eps_max, pr_slope, ut_slope. Unknown keys, malformed values and
-/// inconsistent settings throw std::invalid_argument (with the
-/// offending key in the message).
+/// The spec's keys, one row each; parsing, printing and the
+/// --objectives help all read this table.
+inline constexpr io::SpecKey<ObjectiveSpec> kObjectiveSpecKeys[] = {
+    {"pr", &ObjectiveSpec::privacy_target},
+    {"pr_tol", &ObjectiveSpec::privacy_tol},
+    {"pr_metric", &ObjectiveSpec::privacy_metric},
+    {"ut", &ObjectiveSpec::utility_target},
+    {"ut_tol", &ObjectiveSpec::utility_tol},
+    {"ut_metric", &ObjectiveSpec::utility_metric},
+    {"period_n", &ObjectiveSpec::period_reports},
+    {"period_s", &ObjectiveSpec::period_s},
+    {"window_n", &ObjectiveSpec::window_pairs},
+    {"window_s", &ObjectiveSpec::window_s},
+    {"min_n", &ObjectiveSpec::min_window_pairs},
+    {"max_step", &ObjectiveSpec::max_step},
+    {"cooldown_s", &ObjectiveSpec::cooldown_s},
+    {"eps_min", &ObjectiveSpec::eps_min},
+    {"eps_max", &ObjectiveSpec::eps_max},
+    {"pr_slope", &ObjectiveSpec::prior_privacy_slope},
+    {"ut_slope", &ObjectiveSpec::prior_utility_slope},
+};
+
+/// Parses a comma-separated `key=value` spec (io::parse_spec over
+/// kObjectiveSpecKeys), then validates it. Unknown keys, values their
+/// field cannot hold and inconsistent settings throw
+/// std::invalid_argument naming the key.
 [[nodiscard]] ObjectiveSpec parse_objective_spec(std::string_view spec);
 
-/// Canonical spec string (parse round-trips); only enabled axes and
+/// Canonical spec string (parse round-trips); only set axes and
 /// non-default knobs appear.
 [[nodiscard]] std::string to_string(const ObjectiveSpec& spec);
 

@@ -146,7 +146,6 @@ class Gateway {
 
   [[nodiscard]] const Telemetry& telemetry() const { return *telemetry_; }
   [[nodiscard]] std::size_t active_sessions() const { return sessions_->session_count(); }
-  [[nodiscard]] std::size_t queued() const { return pool_->queued(); }
   /// The active fault schedule; nullptr when no faults are configured.
   [[nodiscard]] const FaultPlan* fault_plan() const { return plan_.get(); }
   /// Every control decision made so far; nullptr when `objectives` is

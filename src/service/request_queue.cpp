@@ -40,9 +40,4 @@ std::size_t RequestQueue::size() const {
   return items_.size();
 }
 
-bool RequestQueue::closed() const {
-  std::lock_guard lock(mutex_);
-  return closed_;
-}
-
 }  // namespace locpriv::service

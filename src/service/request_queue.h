@@ -57,8 +57,6 @@ class RequestQueue {
   void close();
 
   [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] bool closed() const;
 
  private:
   const std::size_t capacity_;

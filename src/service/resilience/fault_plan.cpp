@@ -1,12 +1,8 @@
 #include "service/resilience/fault_plan.h"
 
 #include <cmath>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
-#include <vector>
 
-#include "io/numeric.h"
 #include "stats/rng.h"
 
 namespace locpriv::service {
@@ -57,80 +53,12 @@ void FaultSpec::validate() const {
 }
 
 FaultSpec parse_fault_spec(std::string_view spec) {
-  FaultSpec out;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string_view::npos) comma = spec.size();
-    const std::string_view item = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::invalid_argument("fault spec: expected key=value, got '" + std::string(item) +
-                                  "'");
-    }
-    const std::string key(item.substr(0, eq));
-    const std::string value(item.substr(eq + 1));
-    const std::optional<double> parsed = io::parse_double(value);
-    if (!parsed.has_value()) {
-      throw std::invalid_argument("fault spec: bad value for '" + key + "': '" + value + "'");
-    }
-    const double num = *parsed;
-    if (key == "fail") {
-      out.fail_probability = num;
-    } else if (key == "latency_p") {
-      out.latency_probability = num;
-    } else if (key == "latency_us") {
-      out.latency_spike_us = static_cast<std::uint32_t>(num);
-    } else if (key == "stall_p") {
-      out.stall_probability = num;
-    } else if (key == "stall_us") {
-      out.stall_us = static_cast<std::uint32_t>(num);
-    } else if (key == "skew_p") {
-      out.skew_probability = num;
-    } else if (key == "skew_s") {
-      out.skew_max_s = static_cast<trace::Timestamp>(num);
-    } else if (key == "burst_p") {
-      out.burst_probability = num;
-    } else if (key == "burst_len") {
-      out.burst_len = static_cast<std::uint64_t>(num);
-    } else {
-      throw std::invalid_argument("fault spec: unknown key '" + key +
-                                  "' (fail, latency_p, latency_us, stall_p, stall_us, "
-                                  "skew_p, skew_s, burst_p, burst_len)");
-    }
-  }
+  FaultSpec out = io::parse_spec(spec, kFaultSpecKeys, "fault spec");
   out.validate();
   return out;
 }
 
-std::string to_string(const FaultSpec& spec) {
-  std::ostringstream os;
-  const char* sep = "";
-  const auto emit = [&](const char* key, double value) {
-    os << sep << key << '=' << value;
-    sep = ",";
-  };
-  if (spec.fail_probability > 0.0) emit("fail", spec.fail_probability);
-  if (spec.latency_probability > 0.0) {
-    emit("latency_p", spec.latency_probability);
-    emit("latency_us", spec.latency_spike_us);
-  }
-  if (spec.stall_probability > 0.0) {
-    emit("stall_p", spec.stall_probability);
-    emit("stall_us", spec.stall_us);
-  }
-  if (spec.skew_probability > 0.0) {
-    emit("skew_p", spec.skew_probability);
-    emit("skew_s", static_cast<double>(spec.skew_max_s));
-  }
-  if (spec.burst_probability > 0.0) {
-    emit("burst_p", spec.burst_probability);
-    emit("burst_len", static_cast<double>(spec.burst_len));
-  }
-  return os.str();
-}
+std::string to_string(const FaultSpec& spec) { return io::format_spec(spec, kFaultSpecKeys); }
 
 FaultPlan::FaultPlan(const FaultSpec& spec, std::uint64_t seed) : spec_(spec), seed_(seed) {
   spec_.validate();

@@ -16,6 +16,7 @@
 #include <string>
 #include <string_view>
 
+#include "io/spec.h"
 #include "trace/event.h"
 
 namespace locpriv::service {
@@ -54,14 +55,27 @@ struct FaultSpec {
   void validate() const;
 };
 
-/// Parses a comma-separated `key=value` spec, e.g.
-/// "fail=0.25,latency_p=0.1,latency_us=3000,stall_p=0.01,stall_us=2000,
-///  skew_p=0.05,skew_s=120,burst_p=0.01,burst_len=32".
-/// Unknown keys, malformed values and out-of-range settings throw
-/// std::invalid_argument (with the offending key in the message).
+/// The spec's keys, one row each; parsing, printing and the --faults
+/// help all read this table.
+inline constexpr io::SpecKey<FaultSpec> kFaultSpecKeys[] = {
+    {"fail", &FaultSpec::fail_probability},
+    {"latency_p", &FaultSpec::latency_probability},
+    {"latency_us", &FaultSpec::latency_spike_us},
+    {"stall_p", &FaultSpec::stall_probability},
+    {"stall_us", &FaultSpec::stall_us},
+    {"skew_p", &FaultSpec::skew_probability},
+    {"skew_s", &FaultSpec::skew_max_s},
+    {"burst_p", &FaultSpec::burst_probability},
+    {"burst_len", &FaultSpec::burst_len},
+};
+
+/// Parses a comma-separated `key=value` spec (io::parse_spec over
+/// kFaultSpecKeys), then validates it. Unknown keys, values their field
+/// cannot hold and out-of-range settings throw std::invalid_argument
+/// naming the key.
 [[nodiscard]] FaultSpec parse_fault_spec(std::string_view spec);
 
-/// Canonical spec string (parse round-trips); only enabled faults appear.
+/// Canonical spec string (parse round-trips); only non-default keys appear.
 [[nodiscard]] std::string to_string(const FaultSpec& spec);
 
 /// One injected downstream attempt outcome.

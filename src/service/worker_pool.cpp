@@ -36,10 +36,4 @@ void WorkerPool::drain() {
   }
 }
 
-std::size_t WorkerPool::queued() const {
-  std::size_t n = 0;
-  for (const auto& q : queues_) n += q->size();
-  return n;
-}
-
 }  // namespace locpriv::service

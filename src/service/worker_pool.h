@@ -50,10 +50,6 @@ class WorkerPool {
   /// before drain() is handled before it returns.
   void drain();
 
-  [[nodiscard]] std::size_t worker_count() const { return queues_.size(); }
-  /// Total queued (not yet handled) requests, a live gauge.
-  [[nodiscard]] std::size_t queued() const;
-
  private:
   std::vector<std::unique_ptr<RequestQueue>> queues_;
   std::vector<std::thread> threads_;

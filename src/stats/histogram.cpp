@@ -24,10 +24,6 @@ void Histogram::add(double x) {
   ++total_;
 }
 
-void Histogram::add_all(std::span<const double> xs) {
-  for (const double x : xs) add(x);
-}
-
 double Histogram::bin_lo(std::size_t bin) const {
   return lo_ + (hi_ - lo_) * static_cast<double>(bin) / static_cast<double>(counts_.size());
 }

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 namespace locpriv::stats {
@@ -16,7 +15,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x);
-  void add_all(std::span<const double> xs);
 
   [[nodiscard]] std::size_t bins() const { return counts_.size(); }
   [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_.at(bin); }

@@ -66,7 +66,6 @@ class TraceStore {
   [[nodiscard]] std::span<const std::uint32_t> offsets() const {
     return {offsets_p_, user_ids_.size() + 1};
   }
-  [[nodiscard]] std::size_t begin_of(std::size_t u) const { return offsets_p_[u]; }
   [[nodiscard]] std::size_t count_of(std::size_t u) const {
     return offsets_p_[u + 1] - offsets_p_[u];
   }

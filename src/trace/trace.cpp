@@ -44,11 +44,6 @@ void Trace::detach() {
   user_ = 0;
 }
 
-void Trace::set_user_id(std::string id) {
-  detach();
-  user_id_ = std::move(id);
-}
-
 void Trace::reserve(std::size_t n) {
   detach();
   xs_own_.reserve(n);

@@ -85,7 +85,6 @@ class Trace {
   [[nodiscard]] const std::string& user_id() const {
     return store_ ? store_->user_id(user_) : user_id_;
   }
-  void set_user_id(std::string id);
 
   /// Appends an event; throws std::invalid_argument if it would violate
   /// time ordering (use insert() for out-of-order arrivals).

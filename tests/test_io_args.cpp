@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <iostream>
-#include <sstream>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -100,61 +99,27 @@ TEST(Args, UsageListsOptions) {
   EXPECT_NE(usage.find("default: 3"), std::string::npos);
 }
 
-/// Captures everything written to std::cerr for the enclosing scope.
-class CerrCapture {
- public:
-  CerrCapture() : old_(std::cerr.rdbuf(buffer_.rdbuf())) {}
-  ~CerrCapture() { std::cerr.rdbuf(old_); }
-  [[nodiscard]] std::string text() const { return buffer_.str(); }
-  [[nodiscard]] std::size_t count(const std::string& needle) const {
-    const std::string haystack = text();
-    std::size_t n = 0;
-    for (std::size_t pos = haystack.find(needle); pos != std::string::npos;
-         pos = haystack.find(needle, pos + 1)) {
-      ++n;
-    }
-    return n;
+// An integer option is read at the type of the field it sets: a value
+// that type cannot hold is a usage error naming the option, never a
+// silent wrap (-1 as a queue capacity would be 2^64 - 1, backpressure
+// off).
+TEST(Args, TypedIntRejectsValuesTheTypeCannotHold) {
+  ArgParser p("demo", "demo");
+  p.add({.name = "queue-capacity", .help = "", .default_value = "1024"})
+      .add({.name = "retries", .help = "", .default_value = "0"});
+  EXPECT_EQ(p.parse({}).get_int<std::size_t>("queue-capacity"), 1024u);
+  EXPECT_EQ(p.parse({"--retries", "4294967295"}).get_int<std::uint32_t>("retries"),
+            4294967295u);
+  EXPECT_EQ(p.parse({"--retries", "-7"}).get_int("retries"), -7);  // long long by default
+  try {
+    (void)p.parse({"--queue-capacity", "-1"}).get_int<std::size_t>("queue-capacity");
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--queue-capacity"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos);
   }
-
- private:
-  std::ostringstream buffer_;
-  std::streambuf* old_;
-};
-
-// The warn-once registry is process-wide, so each test uses its own
-// alias names — a warning spent in one test stays spent.
-
-TEST(Args, DeprecatedAliasWarnsExactlyOncePerProcess) {
-  ArgParser p("demo", "demo");
-  p.add({.name = "threads", .help = "", .default_value = "1", .deprecated_aliases = {"workers"}});
-  const CerrCapture capture;
-  // Three uses across two parse() calls: still one warning.
-  const ParsedArgs a = p.parse({"--workers", "4"});
-  const ParsedArgs b = p.parse({"--workers=8", "--workers", "2"});
-  EXPECT_EQ(a.get_int("threads"), 4);
-  EXPECT_EQ(b.get_int("threads"), 2);
-  EXPECT_EQ(capture.count("--workers"), 1u);
-  EXPECT_NE(capture.text().find("deprecated"), std::string::npos);
-  EXPECT_NE(capture.text().find("--threads"), std::string::npos);
-}
-
-TEST(Args, DistinctAliasesWarnIndependently) {
-  ArgParser p("demo", "demo");
-  p.add({.name = "alpha", .help = "", .default_value = "0", .deprecated_aliases = {"old-alpha"}})
-      .add({.name = "beta", .help = "", .default_value = "0", .deprecated_aliases = {"old-beta"}});
-  const CerrCapture capture;
-  (void)p.parse({"--old-alpha", "1", "--old-beta", "2"});
-  (void)p.parse({"--old-alpha", "3", "--old-beta", "4"});
-  EXPECT_EQ(capture.count("--old-alpha"), 1u);
-  EXPECT_EQ(capture.count("--old-beta"), 1u);
-}
-
-TEST(Args, CanonicalSpellingNeverWarns) {
-  ArgParser p("demo", "demo");
-  p.add({.name = "gamma", .help = "", .default_value = "0", .deprecated_aliases = {"old-gamma"}});
-  const CerrCapture capture;
-  (void)p.parse({"--gamma", "1"});
-  EXPECT_TRUE(capture.text().empty()) << capture.text();
+  EXPECT_THROW((void)p.parse({"--retries", "4294967296"}).get_int<std::uint32_t>("retries"),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -84,6 +84,28 @@ TEST_P(NetLoop, WriteReadinessAndModify) {
   EXPECT_EQ(writes, 2);
 }
 
+// modify() to the mask already registered is a no-op that must not
+// disarm the fd: readiness keeps arriving, as level-triggered promises.
+TEST_P(NetLoop, ModifyToCurrentMaskStillDelivers) {
+  EventLoop loop(GetParam());
+  Pipe p;
+  int fired = 0;
+  ASSERT_TRUE(loop.add(p.rd.get(), kEventRead, [&](unsigned events) {
+    EXPECT_TRUE(events & kEventRead);
+    ++fired;
+  }));
+  p.put('a');
+  EXPECT_EQ(loop.run_once(0), 1);
+  ASSERT_TRUE(loop.modify(p.rd.get(), kEventRead));
+  EXPECT_EQ(loop.run_once(0), 1);  // still unread, still reported
+  ASSERT_TRUE(loop.modify(p.rd.get(), kEventRead));
+  EXPECT_EQ(p.take(), 'a');
+  EXPECT_EQ(loop.run_once(0), 0);
+  p.put('b');
+  EXPECT_EQ(loop.run_once(0), 1);
+  EXPECT_EQ(fired, 3);
+}
+
 TEST_P(NetLoop, AddRejectsDuplicateAndModifyRejectsUnknown) {
   EventLoop loop(GetParam());
   Pipe p;

@@ -696,12 +696,20 @@ TEST(ShardService, EmptyFaultsReloadClearsThePlan) {
   EXPECT_EQ(reply.type, net::FrameType::kError);
   EXPECT_EQ(submit_to_shard0(map, 2), ReportStatus::rejected_queue_full);
 
+  // So is a value its field cannot hold: burst_len is a count, and -1
+  // must not wrap to 2^64 - 1 on the way in.
+  ASSERT_TRUE(supervisor_request(svc, sup, net::FrameType::kReload,
+                                 "{\"faults\":\"burst_p=1,burst_len=-1\"}", reply))
+      << sup.error();
+  EXPECT_EQ(reply.type, net::FrameType::kError);
+  EXPECT_EQ(submit_to_shard0(map, 3), ReportStatus::rejected_queue_full);
+
   // An empty string clears the fault plan in every shard.
   ASSERT_TRUE(
       supervisor_request(svc, sup, net::FrameType::kReload, "{\"faults\":\"\"}", reply))
       << sup.error();
   ASSERT_EQ(reply.type, net::FrameType::kReloadReply);
-  EXPECT_EQ(submit_to_shard0(map, 3), ReportStatus::delivered);
+  EXPECT_EQ(submit_to_shard0(map, 4), ReportStatus::delivered);
 
   svc.drain();
 }

@@ -57,7 +57,7 @@ core::SystemDefinition system_from_args(const io::ParsedArgs& parsed) {
                                                                 "' has no tunable parameter")
                                      : probe->parameters().front().name);
   def.sweep = core::full_range_sweep(*probe, parameter,
-                                     static_cast<std::size_t>(parsed.get_int("points")));
+                                     parsed.get_int<std::size_t>("points"));
   if (parsed.has("min")) def.sweep.min_value = parsed.get_double("min");
   if (parsed.has("max")) def.sweep.max_value = parsed.get_double("max");
 
@@ -86,22 +86,17 @@ struct EvalOptionDefaults {
   std::string seed_help = "experiment seed";
   std::string threads = "0";
   std::string threads_help = "worker threads (0 = all cores)";
-  std::vector<std::string> threads_aliases;
 };
 
 /// The evaluation flags every evaluating command spells identically:
-/// --privacy-metric, --utility-metric, --threads, --seed. Old aliases
-/// (e.g. serve-sim's --workers) keep working with a deprecation note.
+/// --privacy-metric, --utility-metric, --threads, --seed.
 void add_eval_options(io::ArgParser& parser, EvalOptionDefaults d = {}) {
   parser
       .add({.name = "privacy-metric",
             .help = "privacy metric (" + join_names(metrics::metric_names()) + ")",
             .default_value = d.privacy})
       .add({.name = "utility-metric", .help = "utility metric", .default_value = d.utility})
-      .add({.name = "threads",
-            .help = d.threads_help,
-            .default_value = d.threads,
-            .deprecated_aliases = d.threads_aliases})
+      .add({.name = "threads", .help = d.threads_help, .default_value = d.threads})
       .add({.name = "seed", .help = d.seed_help, .default_value = d.seed});
 }
 
@@ -170,19 +165,16 @@ void add_gateway_options(io::ArgParser& parser) {
       .add({.name = "downstream-us", .help = "simulated LBS round-trip per delivery, microseconds",
             .default_value = "0"})
       .add({.name = "faults",
-            .help = "fault-injection spec, e.g. fail=0.25,latency_p=0.1,latency_us=3000 "
-                    "(keys: fail, latency_p, latency_us, stall_p, stall_us, skew_p, skew_s, "
-                    "burst_p, burst_len)"})
+            .help = "fault-injection spec key=value,... (keys: " +
+                    io::spec_keys(service::kFaultSpecKeys) + ")"})
       .add({.name = "objectives",
-            .help = "closed-loop ε control objectives, e.g. pr=0.8,pr_tol=0.3,period_n=24 "
-                    "(keys: pr, pr_tol, ut, ut_tol, pr_metric, ut_metric, period_n, period_s, "
-                    "window_n, window_s, min_n, max_step, cooldown_s, eps_min, eps_max, "
-                    "pr_slope, ut_slope)"});
+            .help = "closed-loop ε control objectives key=value,... (keys: " +
+                    io::spec_keys(service::adaptive::kObjectiveSpecKeys) + ")"});
 }
 
 void read_gateway_options(const io::ParsedArgs& parsed, service::GatewayConfig& cfg) {
-  cfg.queue_capacity = static_cast<std::size_t>(parsed.get_int("queue-capacity"));
-  cfg.sessions.max_sessions_per_shard = static_cast<std::size_t>(parsed.get_int("max-sessions"));
+  cfg.queue_capacity = parsed.get_int<std::size_t>("queue-capacity");
+  cfg.sessions.max_sessions_per_shard = parsed.get_int<std::size_t>("max-sessions");
   cfg.sessions.idle_timeout_s = parsed.get_int("idle-timeout");
   cfg.epsilon = parsed.get_double("epsilon");
   cfg.budget_eps = cfg.epsilon * parsed.get_double("budget-reports");
@@ -208,14 +200,14 @@ int cmd_generate(const Args& args) {
   trace::Dataset data;
   if (scenario == "taxi") {
     synth::TaxiScenarioConfig cfg;
-    cfg.driver_count = static_cast<std::size_t>(parsed.get_int("users"));
+    cfg.driver_count = parsed.get_int<std::size_t>("users");
     cfg.taxi.shift_duration_s = parsed.get_int("shift-hours") * 3600;
-    data = synth::make_taxi_dataset(cfg, static_cast<std::uint64_t>(parsed.get_int("seed")));
+    data = synth::make_taxi_dataset(cfg, parsed.get_int<std::uint64_t>("seed"));
   } else if (scenario == "commuter") {
     synth::CommuterScenarioConfig cfg;
-    cfg.user_count = static_cast<std::size_t>(parsed.get_int("users"));
-    cfg.commuter.days = static_cast<std::size_t>(parsed.get_int("days"));
-    data = synth::make_commuter_dataset(cfg, static_cast<std::uint64_t>(parsed.get_int("seed")));
+    cfg.user_count = parsed.get_int<std::size_t>("users");
+    cfg.commuter.days = parsed.get_int<std::size_t>("days");
+    data = synth::make_commuter_dataset(cfg, parsed.get_int<std::uint64_t>("seed"));
   } else {
     throw std::runtime_error("unknown scenario '" + scenario + "' (taxi | commuter)");
   }
@@ -245,7 +237,7 @@ int cmd_profile(const Args& args) {
 
   std::cout << "\nPCA ranking (most impactful first):\n";
   const auto ranked = core::rank_properties(data);
-  const auto top = static_cast<std::size_t>(parsed.get_int("top"));
+  const auto top = parsed.get_int<std::size_t>("top");
   for (std::size_t i = 0; i < ranked.size() && i < top; ++i) {
     std::cout << "  " << (i + 1) << ". " << ranked[i].name << "  ("
               << io::Table::num(ranked[i].importance, 3) << ")\n";
@@ -275,9 +267,9 @@ int cmd_sweep(const Args& args) {
   const trace::Dataset data = load_dataset(parsed.get("data"));
   const core::SystemDefinition def = system_from_args(parsed);
   core::ExperimentConfig cfg;
-  cfg.trials = static_cast<std::size_t>(parsed.get_int("trials"));
-  cfg.seed = static_cast<std::uint64_t>(parsed.get_int("seed"));
-  cfg.threads = static_cast<std::size_t>(parsed.get_int("threads"));
+  cfg.trials = parsed.get_int<std::size_t>("trials");
+  cfg.seed = parsed.get_int<std::uint64_t>("seed");
+  cfg.threads = parsed.get_int<std::size_t>("threads");
   cfg.use_artifact_cache = !parsed.get_flag("no-cache");
   if (cfg.use_artifact_cache) cfg.artifact_cache = std::make_shared<metrics::ArtifactCache>();
   if (parsed.has("split") && parsed.has("folds")) {
@@ -288,9 +280,9 @@ int cmd_sweep(const Args& args) {
     cfg.split.test_fraction = parsed.get_double("split");
   } else if (parsed.has("folds")) {
     cfg.split.mode = core::SplitMode::kKFold;
-    cfg.split.folds = static_cast<std::size_t>(parsed.get_int("folds"));
+    cfg.split.folds = parsed.get_int<std::size_t>("folds");
   }
-  cfg.split.seed = static_cast<std::uint64_t>(parsed.get_int("split-seed"));
+  cfg.split.seed = parsed.get_int<std::uint64_t>("split-seed");
 
   const core::SweepResult sweep = core::run_sweep(def, data, cfg);
   io::write_json_file(parsed.get("out"), core::sweep_to_json(sweep));
@@ -423,8 +415,8 @@ int cmd_configure(const Args& args) {
     const auto cache = std::make_shared<metrics::ArtifactCache>();
     const core::SweepPoint measured =
         core::evaluate_point(def, data, cfg.recommended,
-                             static_cast<std::size_t>(parsed.get_int("trials")),
-                             static_cast<std::uint64_t>(parsed.get_int("seed")), cache);
+                             parsed.get_int<std::size_t>("trials"),
+                             parsed.get_int<std::uint64_t>("seed"), cache);
     std::cout << "measured on " << parsed.get("data") << ": " << def.privacy->name() << " = "
               << io::Table::num(measured.privacy_mean, 4) << ", " << def.utility->name() << " = "
               << io::Table::num(measured.utility_mean, 4) << "\n";
@@ -455,7 +447,7 @@ int cmd_protect(const Args& args) {
   }
 
   const trace::Dataset protected_data =
-      mechanism->protect_dataset(data, static_cast<std::uint64_t>(parsed.get_int("seed")));
+      mechanism->protect_dataset(data, parsed.get_int<std::uint64_t>("seed"));
   trace::save_dataset(parsed.get("out"), protected_data);
   std::cout << "protected " << protected_data.total_events() << " events with "
             << mechanism->name() << "; wrote " << parsed.get("out") << "\n";
@@ -504,16 +496,16 @@ int cmd_validate(const Args& args) {
   const trace::Dataset data = load_dataset(parsed.get("data"));
   const core::SystemDefinition def = system_from_args(parsed);
   core::ExperimentConfig cfg;
-  cfg.trials = static_cast<std::size_t>(parsed.get_int("trials"));
-  cfg.seed = static_cast<std::uint64_t>(parsed.get_int("seed"));
-  cfg.threads = static_cast<std::size_t>(parsed.get_int("threads"));
+  cfg.trials = parsed.get_int<std::size_t>("trials");
+  cfg.seed = parsed.get_int<std::uint64_t>("seed");
+  cfg.threads = parsed.get_int<std::size_t>("threads");
   if (parsed.has("split-seed")) {
     cfg.split.mode = core::SplitMode::kKFold;
-    cfg.split.seed = static_cast<std::uint64_t>(parsed.get_int("split-seed"));
+    cfg.split.seed = parsed.get_int<std::uint64_t>("split-seed");
   }
 
   const core::CrossValidationReport report =
-      core::cross_validate(def, data, static_cast<std::size_t>(parsed.get_int("folds")), cfg);
+      core::cross_validate(def, data, parsed.get_int<std::size_t>("folds"), cfg);
 
   io::Table table({"fold", "train users", "test users", "Pr RMSE", "Ut RMSE", "train Pr R^2"});
   for (const core::FoldReport& f : report.folds) {
@@ -543,9 +535,9 @@ int cmd_compare(const Args& args) {
 
   const trace::Dataset data = load_dataset(parsed.get("data"));
   core::ExperimentConfig cfg;
-  cfg.trials = static_cast<std::size_t>(parsed.get_int("trials"));
-  cfg.seed = static_cast<std::uint64_t>(parsed.get_int("seed"));
-  cfg.threads = static_cast<std::size_t>(parsed.get_int("threads"));
+  cfg.trials = parsed.get_int<std::size_t>("trials");
+  cfg.seed = parsed.get_int<std::uint64_t>("seed");
+  cfg.threads = parsed.get_int<std::size_t>("threads");
 
   // Split the comma list.
   std::vector<std::string> names;
@@ -569,7 +561,7 @@ int cmd_compare(const Args& args) {
         continue;
       }
       def.sweep = core::full_range_sweep(*probe, probe->parameters().front().name,
-                                         static_cast<std::size_t>(parsed.get_int("points")));
+                                         parsed.get_int<std::size_t>("points"));
       def.privacy = std::shared_ptr<const metrics::Metric>(
           metrics::create_metric(parsed.get("privacy-metric")));
       def.utility = std::shared_ptr<const metrics::Metric>(
@@ -702,8 +694,7 @@ int cmd_serve_sim(const Args& args) {
   add_eval_options(parser, {.seed = "2016",
                             .seed_help = "workload + noise seed",
                             .threads = "4",
-                            .threads_help = "gateway worker threads",
-                            .threads_aliases = {"workers"}});
+                            .threads_help = "gateway worker threads"});
   add_trace_option(parser);
   const io::ParsedArgs parsed = parser.parse(args);
   maybe_enable_tracing(parsed);
@@ -713,14 +704,14 @@ int cmd_serve_sim(const Args& args) {
     data = load_dataset(parsed.get("data"));
   } else {
     const std::string scenario = parsed.get("scenario");
-    const auto seed = static_cast<std::uint64_t>(parsed.get_int("seed"));
+    const auto seed = parsed.get_int<std::uint64_t>("seed");
     if (scenario == "taxi") {
       synth::TaxiScenarioConfig cfg;
-      cfg.driver_count = static_cast<std::size_t>(parsed.get_int("users"));
+      cfg.driver_count = parsed.get_int<std::size_t>("users");
       data = synth::make_taxi_dataset(cfg, seed);
     } else if (scenario == "commuter") {
       synth::CommuterScenarioConfig cfg;
-      cfg.user_count = static_cast<std::size_t>(parsed.get_int("users"));
+      cfg.user_count = parsed.get_int<std::size_t>("users");
       data = synth::make_commuter_dataset(cfg, seed);
     } else {
       throw std::runtime_error("unknown scenario '" + scenario + "' (taxi | commuter)");
@@ -729,15 +720,15 @@ int cmd_serve_sim(const Args& args) {
 
   service::GatewayConfig cfg;
   read_gateway_options(parsed, cfg);
-  cfg.workers = static_cast<std::size_t>(parsed.get_int("threads"));
-  cfg.sessions.shard_count = static_cast<std::size_t>(parsed.get_int("shards"));
-  cfg.seed = static_cast<std::uint64_t>(parsed.get_int("seed"));
-  cfg.fault_seed = static_cast<std::uint64_t>(parsed.get_int("fault-seed"));
+  cfg.workers = parsed.get_int<std::size_t>("threads");
+  cfg.sessions.shard_count = parsed.get_int<std::size_t>("shards");
+  cfg.seed = parsed.get_int<std::uint64_t>("seed");
+  cfg.fault_seed = parsed.get_int<std::uint64_t>("fault-seed");
   cfg.resilience.policy = service::parse_degrade_policy(parsed.get("policy"));
-  cfg.resilience.max_retries = static_cast<std::uint32_t>(parsed.get_int("max-retries"));
-  cfg.resilience.deadline_us = static_cast<std::uint64_t>(parsed.get_int("deadline-us"));
+  cfg.resilience.max_retries = parsed.get_int<std::uint32_t>("max-retries");
+  cfg.resilience.deadline_us = parsed.get_int<std::uint64_t>("deadline-us");
   cfg.resilience.breaker.failure_threshold =
-      static_cast<std::uint32_t>(parsed.get_int("breaker-threshold"));
+      parsed.get_int<std::uint32_t>("breaker-threshold");
   cfg.resilience.breaker.cooldown_s = parsed.get_int("breaker-cooldown");
   cfg.resilience.fallback_cell_m = parsed.get_double("fallback-cell");
 

@@ -48,16 +48,16 @@ int cmd_serve(const Args& args) {
 
   service::shard::ShardServiceConfig cfg;
   cfg.listen = parse_endpoint_arg(parsed.get("listen"));
-  cfg.shards = static_cast<std::size_t>(parsed.get_int("shards"));
+  cfg.shards = parsed.get_int<std::size_t>("shards");
   if (parsed.has("data")) cfg.dataset_path = parsed.get("data");
   cfg.audit = parsed.get_flag("audit");
   if (parsed.has("reload-file")) cfg.reload_file = parsed.get("reload-file");
 
   service::GatewayConfig& gw = cfg.gateway;
   read_gateway_options(parsed, gw);
-  gw.workers = static_cast<std::size_t>(parsed.get_int("workers"));
-  gw.sessions.shard_count = static_cast<std::size_t>(parsed.get_int("session-shards"));
-  gw.seed = static_cast<std::uint64_t>(parsed.get_int("seed"));
+  gw.workers = parsed.get_int<std::size_t>("workers");
+  gw.sessions.shard_count = parsed.get_int<std::size_t>("session-shards");
+  gw.seed = parsed.get_int<std::uint64_t>("seed");
 
   service::shard::ShardService supervisor(cfg);
   if (!supervisor.start()) {

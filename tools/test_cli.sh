@@ -26,7 +26,7 @@ grep -q "kept" "$DIR/clean.txt"
 "$CLI" report --sweep "$DIR/sweep.json" --model "$DIR/model.json" --privacy-max 0.5 --out "$DIR/report.md"
 grep -q "## Fitted model" "$DIR/report.md"
 
-"$CLI" serve-sim --data "$DIR/data.csv" --workers 2 --shards 4 --out "$DIR/telemetry.json" > "$DIR/serve.txt"
+"$CLI" serve-sim --data "$DIR/data.csv" --threads 2 --shards 4 --out "$DIR/telemetry.json" > "$DIR/serve.txt"
 grep -q "events/sec" "$DIR/serve.txt"
 grep -q "rejected_queue_full" "$DIR/telemetry.json"
 
@@ -78,5 +78,11 @@ grep -q "drained, bye" "$DIR/serve_net.txt"
 # Error paths: unknown command and unknown option must fail loudly.
 if "$CLI" frobnicate 2>/dev/null; then echo "unknown command accepted"; exit 1; fi
 if "$CLI" generate --nope 1 --out /dev/null 2>/dev/null; then echo "unknown option accepted"; exit 1; fi
+# An integer flag is read at its field's type: -1 queue slots is a usage
+# error naming the flag, not 2^64 - 1 slots (backpressure silently off).
+if "$CLI" serve-sim --users 2 --queue-capacity -1 > /dev/null 2> "$DIR/range.txt"; then
+  echo "negative queue capacity accepted"; exit 1
+fi
+grep -q -- "--queue-capacity" "$DIR/range.txt"
 
 echo "cli workflow OK"
