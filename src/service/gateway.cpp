@@ -170,7 +170,7 @@ bool Gateway::submit(const std::string& user_id, const trace::Event& event, std:
 
 void Gateway::drain() { pool_->drain(); }
 
-void Gateway::reload(const GatewayConfig& next, SessionManager::SessionFactory factory) {
+void Gateway::reload(const GatewayConfig& next) {
   pool_->drain();
 
   GatewayConfig cfg = next;
@@ -185,7 +185,7 @@ void Gateway::reload(const GatewayConfig& next, SessionManager::SessionFactory f
     control_log = std::make_unique<adaptive::ControlLog>();
   }
   adaptive::ControlLog* log = control_log_ != nullptr ? control_log_.get() : control_log.get();
-  if (!factory) factory = default_factory(cfg, log);
+  SessionManager::SessionFactory factory = default_factory(cfg, log);
 
   cfg_ = cfg;
   if (control_log != nullptr) control_log_ = std::move(control_log);

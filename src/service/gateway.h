@@ -136,13 +136,11 @@ class Gateway {
   /// workers. The SessionManager survives — live sessions keep their ε
   /// budgets and their old policy until evicted; only sessions created
   /// after the reload see the new one (`next.sessions` is ignored for
-  /// the same reason). Pass a `factory` to swap in a custom session
-  /// factory; empty = the configured default. Not thread-safe against
-  /// submit(): the caller stops submitting, reloads, then resumes —
-  /// the shard server's event loop gives this for free. Throws
-  /// std::invalid_argument when `next` fails validation, leaving the
-  /// gateway drained but consistent.
-  void reload(const GatewayConfig& next, SessionManager::SessionFactory factory = {});
+  /// the same reason). Not thread-safe against submit(): the caller
+  /// stops submitting, reloads, then resumes — the shard server's event
+  /// loop gives this for free. Throws std::invalid_argument when `next`
+  /// fails validation, leaving the gateway drained but consistent.
+  void reload(const GatewayConfig& next);
 
   [[nodiscard]] const Telemetry& telemetry() const { return *telemetry_; }
   [[nodiscard]] std::size_t active_sessions() const { return sessions_->session_count(); }

@@ -1,12 +1,26 @@
 #include "service/session_manager.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
 #include "service/telemetry.h"
 
 namespace locpriv::service {
+namespace {
+
+/// True once `now` is at least `timeout` (> 0) after `last`. Exact for
+/// every pair of int64 times: report times come from the wire and from
+/// dataset files, so `last + timeout` may not fit a Timestamp.
+bool idle_for(trace::Timestamp last, trace::Timestamp now, trace::Timestamp timeout) {
+  if (now <= last) return false;
+  // now > last, so the unsigned difference is the exact distance.
+  return static_cast<std::uint64_t>(now) - static_cast<std::uint64_t>(last) >=
+         static_cast<std::uint64_t>(timeout);
+}
+
+}  // namespace
 
 SessionManager::SessionManager(SessionManagerConfig cfg, SessionFactory factory,
                                Telemetry* telemetry)
@@ -35,7 +49,7 @@ void SessionManager::evict_due(Shard& shard, trace::Timestamp now) {
   if (cfg_.idle_timeout_s > 0) {
     while (!shard.lru.empty()) {
       const auto it = shard.sessions.find(shard.lru.back());
-      if (it->second.last_active + cfg_.idle_timeout_s > now) break;
+      if (!idle_for(it->second.last_active, now, cfg_.idle_timeout_s)) break;
       shard.lru.pop_back();
       shard.sessions.erase(it);
       if (telemetry_ != nullptr) telemetry_->add(Count::sessions_evicted_idle);

@@ -11,6 +11,15 @@
 // the user id, the same function on both sides). The supervisor is
 // never on the data path, so it cannot become a parse bottleneck.
 //
+// Control plane: each shard's control channel is a socketpair end on
+// the supervisor's own FrameServer, so nothing here blocks on a socket.
+// Telemetry, reload and drain are one fan-out (docs/NETWORK.md): a frame
+// to every open channel, each reply routed to the oldest fan-out waiting
+// on that shard (shards answer in order), the requester answered once
+// every shard replied or closed. Telemetry and reload also stop at
+// kReplyDeadline and list the missing shards under `unanswered`; drain
+// waits, so every accepted report is answered exactly once.
+//
 // Fork safety: the supervisor stays single-threaded for its entire
 // life — its event loop runs on the calling thread and it never creates
 // another — so fork() (without exec) is always safe here, including
@@ -18,9 +27,15 @@
 // the children, created after the fork.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <sys/types.h>
+#include <utility>
 #include <vector>
 
 #include "net/client.h"
@@ -56,30 +71,27 @@ class ShardService {
   ShardService(const ShardService&) = delete;
   ShardService& operator=(const ShardService&) = delete;
 
-  /// Verifies the dataset, forks every shard, waits for each kReady,
-  /// then binds the supervisor endpoint and installs signal routing
-  /// (SIGTERM/SIGINT drain, SIGHUP reload, SIGCHLD restart). False with
-  /// error() set on failure (already-forked shards are torn down).
+  /// How long a telemetry or reload fan-out waits for the shards.
+  static constexpr std::chrono::milliseconds kReplyDeadline{2000};
+
+  /// Verifies the dataset, forks every shard, runs the loop until each
+  /// has sent kReady, then binds the supervisor endpoint and installs
+  /// signal routing (SIGTERM/SIGINT drain, SIGHUP reload, SIGCHLD
+  /// restart). False with error() set on failure (already-forked shards
+  /// are torn down).
   [[nodiscard]] bool start();
 
   /// Serves until a drain (signal or client kDrainReq) completes.
   void run();
 
-  /// One loop iteration — the test-driver entry point.
+  /// One loop iteration, waiting at most until the next fan-out
+  /// deadline — the test-driver entry point.
   int run_once(int timeout_ms);
 
   /// Drains every shard (exactly-once per accepted report), reaps the
-  /// children and stops the loop. Idempotent.
+  /// children and stops the loop, running the loop until it is done.
+  /// Idempotent; call it from outside the loop.
   void drain();
-
-  /// Validates a reload spec (apply_reload_spec grammar), keeps the
-  /// result for shards forked later, and pushes it into every live
-  /// shard. False if the spec is invalid (no shard sees it) or a shard
-  /// failed to apply it; error() has why.
-  [[nodiscard]] bool reload(const std::string& spec_json);
-
-  /// Aggregated telemetry: per-shard reports plus every counter summed.
-  [[nodiscard]] std::string aggregate_telemetry();
 
   [[nodiscard]] net::ShardMap shard_map() const;
   [[nodiscard]] const std::string& error() const { return error_; }
@@ -95,22 +107,67 @@ class ShardService {
   [[nodiscard]] static pid_t spawn(const ShardServiceConfig& cfg, std::string* err);
 
  private:
+  using Clock = std::chrono::steady_clock;
+  /// One reply per shard; nullopt = the shard sent none.
+  using Replies = std::vector<std::optional<net::Frame>>;
+
+  /// One control frame sent to every shard whose channel is open.
+  struct FanOut {
+    Replies replies;
+    std::size_t outstanding = 0;  ///< shards still to reply or close
+    Clock::time_point deadline = Clock::time_point::max();
+    std::function<void(const Replies&)> done;  ///< emptied once it ran
+
+    /// Runs `done` once: at the deadline, or when the last shard settles.
+    void finish() {
+      if (done) std::exchange(done, nullptr)(replies);
+    }
+    /// One shard replied or closed.
+    void settle() {
+      if (--outstanding == 0) finish();
+    }
+  };
+
   struct ShardProc {
-    pid_t pid = -1;
-    net::Connection control;  ///< blocking framed socketpair to the child
+    pid_t pid = -1;             ///< -1 once reaped
+    std::uint64_t control = 0;  ///< FrameServer serial; 0 = closed
+    bool ready = false;         ///< sent kReady
+    /// Fan-outs waiting on this shard's reply, oldest first.
+    std::deque<std::shared_ptr<FanOut>> waiting;
   };
 
   [[nodiscard]] bool fork_shard(std::size_t k);
   void reap_children();
+  void restart_if_gone(std::size_t k);
   void handle_signals();
   void dispatch(net::FrameServer::Conn& conn, const net::Frame& frame);
+  void on_shard_frame(std::size_t k, const net::Frame& frame);
+  void on_close(std::uint64_t serial);
+  [[nodiscard]] std::optional<std::size_t> shard_of_serial(std::uint64_t serial) const;
+
+  void fan_out(net::FrameType type, const std::string& payload, bool with_deadline,
+               std::function<void(const Replies&)> done);
+  void expire_fan_outs();
+
+  void begin_drain();
+  void finish_drain(const Replies& replies);
+  /// Validates the spec, keeps it for shards forked later, and pushes
+  /// it into every shard; the outcome goes to reply(requester, …).
+  void reload(const std::string& spec_json, std::uint64_t requester);
   void reload_from_file();
+  [[nodiscard]] std::string aggregate_telemetry(const Replies& replies) const;
+  /// Sends on client `serial` if it is still connected; serial 0 (a
+  /// signal asked) prints a kError to stderr instead.
+  void reply(std::uint64_t serial, net::FrameType type, const std::string& payload);
 
   ShardServiceConfig cfg_;
   std::string error_;
   net::EventLoop loop_;
-  net::FrameServer server_;  ///< the supervisor endpoint's clients
+  net::FrameServer server_;  ///< clients and the shards' control channels
   std::vector<ShardProc> procs_;
+  /// Fan-outs with a deadline, oldest (soonest due) first.
+  std::deque<std::shared_ptr<FanOut>> timed_;
+  std::vector<std::uint64_t> drain_requesters_;
   std::uint64_t restarts_ = 0;
   bool draining_ = false;
   bool started_ = false;

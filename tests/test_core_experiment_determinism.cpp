@@ -8,9 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -264,28 +262,7 @@ TEST(SplitDeterminism, PartitionsAreSeededDisjointAndCovering) {
 
 // ------------------------------------------------- gateway under faults
 
-struct Capture {
-  std::mutex mutex;
-  std::map<std::string, std::vector<service::ProtectedReport>> by_user;
-
-  service::Gateway::Sink sink() {
-    return [this](const service::ProtectedReport& r) {
-      std::lock_guard lock(mutex);
-      by_user[r.user_id].push_back(r);
-    };
-  }
-
-  /// Merge inline rejections (answered on the submit thread, racing the
-  /// worker answers in arrival order only) back into submission order.
-  void sort_by_seq() {
-    for (auto& [user, reports] : by_user) {
-      std::sort(reports.begin(), reports.end(),
-                [](const service::ProtectedReport& a, const service::ProtectedReport& b) {
-                  return a.seq < b.seq;
-                });
-    }
-  }
-};
+using testutil::Capture;
 
 service::GatewayConfig chaos_config(std::size_t workers) {
   service::GatewayConfig cfg;

@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -16,20 +15,7 @@
 namespace locpriv::service {
 namespace {
 
-/// Thread-safe capture of every gateway answer, grouped per user.
-struct Capture {
-  std::mutex mutex;
-  std::map<std::string, std::vector<ProtectedReport>> by_user;
-  std::size_t total = 0;
-
-  Gateway::Sink sink() {
-    return [this](const ProtectedReport& r) {
-      std::lock_guard lock(mutex);
-      by_user[r.user_id].push_back(r);
-      ++total;
-    };
-  }
-};
+using testutil::Capture;
 
 GatewayConfig small_config() {
   GatewayConfig cfg;
@@ -273,6 +259,43 @@ TEST(SessionManager, IdleEvictionUsesStreamTime) {
   (void)manager.acquire("c", 300);
   EXPECT_EQ(manager.session_count(), 1u);  // a and b evicted, c created
   EXPECT_EQ(telemetry.snapshot()[Count::sessions_evicted_idle], 2u);
+}
+
+TEST(SessionManager, IdleEvictionIsExactAtInt64Edges) {
+  constexpr trace::Timestamp kMax = std::numeric_limits<trace::Timestamp>::max();
+  const auto factory = [](const std::string&) {
+    return std::make_unique<lppm::BudgetedGeoIndSession>(0.1, lppm::GeoIndBudget(0.1, 1.0, 600),
+                                                         1);
+  };
+  {
+    // Report times near the top of the range: last_active + timeout
+    // does not fit a Timestamp.
+    Telemetry telemetry;
+    SessionManagerConfig cfg;
+    cfg.shard_count = 1;
+    cfg.idle_timeout_s = 3600;
+    SessionManager manager(cfg, factory, &telemetry);
+    (void)manager.acquire("a", kMax - 3600);
+    (void)manager.acquire("b", kMax - 1);  // a is 3599 s idle: kept
+    EXPECT_EQ(manager.session_count(), 2u);
+    (void)manager.acquire("b", kMax);  // a is exactly 3600 s idle: due
+    EXPECT_EQ(manager.session_count(), 1u);
+    EXPECT_EQ(telemetry.snapshot()[Count::sessions_evicted_idle], 1u);
+  }
+  {
+    // The largest timeout: only a full int64 span of idleness is due.
+    Telemetry telemetry;
+    SessionManagerConfig cfg;
+    cfg.shard_count = 1;
+    cfg.idle_timeout_s = kMax;
+    SessionManager manager(cfg, factory, &telemetry);
+    (void)manager.acquire("a", 0);
+    (void)manager.acquire("b", kMax - 1);
+    EXPECT_EQ(manager.session_count(), 2u);
+    (void)manager.acquire("c", kMax);
+    EXPECT_EQ(manager.session_count(), 2u);  // a evicted, c created
+    EXPECT_EQ(telemetry.snapshot()[Count::sessions_evicted_idle], 1u);
+  }
 }
 
 TEST(Gateway, CustomFactoryRunsAnyStreamingMechanism) {

@@ -11,8 +11,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -326,30 +324,7 @@ TEST(ResilientCall, TrippedBreakerShortCircuitsBeforeAnyAttempt) {
 
 // ------------------------------------------------------- Gateway under chaos
 
-/// Thread-safe capture of every gateway answer, grouped per user.
-struct Capture {
-  std::mutex mutex;
-  std::map<std::string, std::vector<ProtectedReport>> by_user;
-  std::size_t total = 0;
-
-  Gateway::Sink sink() {
-    return [this](const ProtectedReport& r) {
-      std::lock_guard lock(mutex);
-      by_user[r.user_id].push_back(r);
-      ++total;
-    };
-  }
-
-  /// Answers per user in submission order. Worker answers arrive in
-  /// order already, but inline rejections (submit thread) race with
-  /// them in wall-clock arrival order, so sort by the unique seq.
-  void sort_by_seq() {
-    for (auto& [user, reports] : by_user) {
-      std::sort(reports.begin(), reports.end(),
-                [](const ProtectedReport& a, const ProtectedReport& b) { return a.seq < b.seq; });
-    }
-  }
-};
+using testutil::Capture;
 
 GatewayConfig chaos_gateway_config() {
   GatewayConfig cfg;

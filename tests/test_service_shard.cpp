@@ -5,14 +5,17 @@
 // throttled without stalling other clients), arena-backed audit
 // storage, and the multi-process ShardService supervisor (shard map,
 // aggregated telemetry, protocol violations, crash + restart + client
-// re-route, drain).
+// re-route, drain, a shard that dies at boot, a stopped shard).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdint>
+#include <filesystem>
+#include <mutex>
 #include <poll.h>
 #include <set>
 #include <string>
@@ -738,6 +741,106 @@ TEST(ShardService, DrainViaFrameClosesEverything) {
   // Both shard processes exited: their endpoints no longer accept.
   net::Connection probe;
   EXPECT_FALSE(probe.connect(svc.shard_map().endpoints[0]));
+}
+
+TEST(ShardService, ShardThatDiesBeforeReadyFailsStart) {
+  const ShardServiceConfig cfg = supervisor_config("svc_boot_death", 2);
+  // A directory where shard 1 binds its socket: that shard exits at
+  // boot, before kReady.
+  const std::string blocked = cfg.listen.shard_endpoint(1).path;
+  ASSERT_TRUE(std::filesystem::create_directory(blocked));
+  {
+    ShardService svc(cfg);
+    EXPECT_FALSE(svc.start());
+    EXPECT_NE(svc.error().find("shard 1 died before ready"), std::string::npos) << svc.error();
+    EXPECT_EQ(svc.restarts(), 0u);
+    // Shard 0 was drained and reaped, and nothing listens for clients.
+    EXPECT_EQ(svc.shard_pid(0), -1);
+    net::Connection probe;
+    EXPECT_FALSE(probe.connect(cfg.listen));
+    EXPECT_FALSE(probe.connect(cfg.listen.shard_endpoint(0)));
+  }
+  std::filesystem::remove(blocked);
+}
+
+TEST(ShardService, StoppedShardDoesNotFreezeSupervisor) {
+  using Clock = std::chrono::steady_clock;
+  const ShardServiceConfig cfg = supervisor_config("svc_stopped", 2);
+  ShardService svc(cfg);
+  ASSERT_TRUE(svc.start()) << svc.error();
+  constexpr std::size_t kStopped = 1;
+  const pid_t stopped = svc.shard_pid(kStopped);
+  ASSERT_EQ(::kill(stopped, SIGSTOP), 0);
+
+  // Continues the shard after 10 s at the latest, so a supervisor that
+  // blocks on it fails the timing checks below instead of hanging.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool released = false;
+  std::thread watchdog([&] {
+    std::unique_lock lock(mutex);
+    (void)cv.wait_for(lock, std::chrono::seconds(10), [&] { return released; });
+    (void)::kill(stopped, SIGCONT);
+  });
+  const auto release = [&] {
+    {
+      const std::lock_guard lock(mutex);
+      released = true;
+    }
+    cv.notify_one();
+    watchdog.join();
+  };
+  const auto seconds_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  const double deadline_s = std::chrono::duration<double>(ShardService::kReplyDeadline).count();
+
+  // Telemetry goes out first; the shard map asked right behind it must
+  // not wait for it.
+  net::Connection telemetry_conn;
+  net::Connection map_conn;
+  ASSERT_TRUE(telemetry_conn.connect(cfg.listen));
+  ASSERT_TRUE(map_conn.connect(cfg.listen));
+  const Clock::time_point t0 = Clock::now();
+  ASSERT_TRUE(telemetry_conn.send(net::FrameType::kTelemetryReq, ""));
+  ASSERT_TRUE(map_conn.send(net::FrameType::kShardMapReq, ""));
+  net::Frame reply;
+  pump_until_readable(svc, map_conn);
+  ASSERT_TRUE(map_conn.recv(reply)) << map_conn.error();
+  EXPECT_EQ(reply.type, net::FrameType::kShardMapReply);
+  EXPECT_LT(seconds_since(t0), 1.0) << "the shard map waited on the stopped shard";
+
+  // Telemetry comes back at the deadline with the live shard's report
+  // and the stopped shard named.
+  pump_until_readable(svc, telemetry_conn);
+  ASSERT_TRUE(telemetry_conn.recv(reply)) << telemetry_conn.error();
+  const double waited = seconds_since(t0);
+  EXPECT_GE(waited, deadline_s);
+  EXPECT_LT(waited, deadline_s + 1.0);
+  ASSERT_EQ(reply.type, net::FrameType::kTelemetryReply);
+  io::JsonValue telemetry =
+      io::parse_json(std::string(reply.payload.begin(), reply.payload.end()));
+  const io::JsonArray& missing = telemetry.at("aggregate").at("unanswered").as_array();
+  ASSERT_EQ(missing.size(), 1u);
+  EXPECT_EQ(missing[0].as_number(), static_cast<double>(kStopped));
+  ASSERT_EQ(telemetry.at("per_shard").as_array().size(), 1u);
+  EXPECT_EQ(telemetry.at("per_shard").as_array()[0].at("shard").at("index").as_number(), 0.0);
+
+  // Continued, the shard first answers the request that timed out; the
+  // next aggregate is complete.
+  release();
+  ASSERT_TRUE(supervisor_request(svc, telemetry_conn, net::FrameType::kTelemetryReq, "", reply))
+      << telemetry_conn.error();
+  ASSERT_EQ(reply.type, net::FrameType::kTelemetryReply);
+  telemetry = io::parse_json(std::string(reply.payload.begin(), reply.payload.end()));
+  EXPECT_TRUE(telemetry.at("aggregate").at("unanswered").as_array().empty());
+  EXPECT_EQ(telemetry.at("per_shard").as_array().size(), 2u);
+
+  ASSERT_TRUE(supervisor_request(svc, map_conn, net::FrameType::kDrainReq, "", reply))
+      << map_conn.error();
+  ASSERT_EQ(reply.type, net::FrameType::kDrainReply);
+  EXPECT_TRUE(svc.draining());
+  EXPECT_EQ(svc.shard_pid(kStopped), -1);
 }
 
 }  // namespace

@@ -6,11 +6,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <string>
 #include <system_error>
 #include <vector>
 
+#include "service/gateway.h"
 #include "trace/dataset.h"
 #include "trace/trace.h"
 
@@ -51,6 +55,33 @@ class ScratchDir {
 
  private:
   std::filesystem::path dir_;
+};
+
+/// Thread-safe capture of every gateway answer, grouped per user.
+struct Capture {
+  std::mutex mutex;
+  std::map<std::string, std::vector<service::ProtectedReport>> by_user;
+  std::size_t total = 0;
+
+  service::Gateway::Sink sink() {
+    return [this](const service::ProtectedReport& r) {
+      const std::lock_guard lock(mutex);
+      by_user[r.user_id].push_back(r);
+      ++total;
+    };
+  }
+
+  /// Answers per user in submission order. Worker answers arrive in
+  /// order already, but inline rejections (answered on the submit
+  /// thread) race with them in arrival order, so sort by the unique seq.
+  void sort_by_seq() {
+    for (auto& [user, reports] : by_user) {
+      std::sort(reports.begin(), reports.end(),
+                [](const service::ProtectedReport& a, const service::ProtectedReport& b) {
+                  return a.seq < b.seq;
+                });
+    }
+  }
 };
 
 /// A trace that sits at `where` from t=0 for `duration_s`, reporting

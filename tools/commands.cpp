@@ -201,7 +201,8 @@ int cmd_generate(const Args& args) {
   if (scenario == "taxi") {
     synth::TaxiScenarioConfig cfg;
     cfg.driver_count = parsed.get_int<std::size_t>("users");
-    cfg.taxi.shift_duration_s = parsed.get_int("shift-hours") * 3600;
+    const std::uint16_t shift_hours = parsed.get_int<std::uint16_t>("shift-hours");
+    cfg.taxi.shift_duration_s = trace::Timestamp{shift_hours} * 3600;
     data = synth::make_taxi_dataset(cfg, parsed.get_int<std::uint64_t>("seed"));
   } else if (scenario == "commuter") {
     synth::CommuterScenarioConfig cfg;

@@ -46,7 +46,8 @@ if "$CLI" convert --in "$DIR/corrupt.lpds" --out "$DIR/junk.csv" --check 2>/dev/
 fi
 
 # Real network front end over UDS: serve in the background, ping until
-# the supervisor answers, check routed submits and telemetry, drain.
+# the supervisor answers, check routed submits and telemetry (also with
+# one shard stopped), drain.
 SOCK="$DIR/locpriv-cli.sock"
 "$CLI" serve --listen "unix:$SOCK" --shards 2 --workers 1 --data "$DIR/data.lpds" \
   > "$DIR/serve_net.txt" 2>&1 &
@@ -70,6 +71,20 @@ t = json.load(open(sys.argv[1]))
 assert t["aggregate"]["received"] == 3, t["aggregate"]
 assert len(t["aggregate"]["resident_set_kb_per_shard"]) == 2, t["aggregate"]' \
   "$DIR/ping_telemetry.txt"
+# A stopped shard must not freeze the supervisor: telemetry comes back
+# at its reply deadline and names the shard that missed it.
+STOPPED_PID=$(pgrep -P "$SERVE_PID" | head -n 1)
+kill -STOP "$STOPPED_PID"
+STOPPED_OK=1
+timeout 5 "$CLI" ping --connect "unix:$SOCK" --telemetry > "$DIR/ping_stopped.txt" \
+  2>/dev/null || STOPPED_OK=0
+kill -CONT "$STOPPED_PID"
+[ "$STOPPED_OK" = 1 ] || { echo "telemetry froze on a stopped shard"; kill "$SERVE_PID"; exit 1; }
+python3 -c 'import json,sys
+t = json.load(open(sys.argv[1]))
+missing = t["aggregate"]["unanswered"]
+assert len(missing) == 1 and len(t["per_shard"]) == 1, t
+assert t["per_shard"][0]["shard"]["index"] != missing[0], t' "$DIR/ping_stopped.txt"
 "$CLI" ping --connect "unix:$SOCK" --drain > "$DIR/ping_drain.txt"
 grep -q "drained" "$DIR/ping_drain.txt"
 wait "$SERVE_PID"
@@ -84,5 +99,10 @@ if "$CLI" serve-sim --users 2 --queue-capacity -1 > /dev/null 2> "$DIR/range.txt
   echo "negative queue capacity accepted"; exit 1
 fi
 grep -q -- "--queue-capacity" "$DIR/range.txt"
+# So is a shift too long to count in seconds.
+if "$CLI" generate --shift-hours 9223372036854775807 --out "$DIR/long.csv" 2> "$DIR/shift.txt"; then
+  echo "oversized shift accepted"; exit 1
+fi
+grep -q -- "--shift-hours" "$DIR/shift.txt"
 
 echo "cli workflow OK"
